@@ -6,7 +6,6 @@ attention-gated U-Net with hand-derived gradients consumes either the
 raw band or the quanvoluted stack.
 """
 
-from .backend import backend_name
 from .datapipe import (
     PatchItem,
     PatchSet,
@@ -64,7 +63,6 @@ __all__ = [
     "angle_encode",
     "attention_gate_backward",
     "attention_gate_forward",
-    "backend_name",
     "build_circuit",
     "build_model",
     "count_params",

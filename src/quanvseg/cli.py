@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import backend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datapipe import (
     PatchItem,
@@ -29,7 +28,7 @@ from .datapipe import (
 from .exceptions import ConfigError, QuanvsegError, ShapeError
 from .fileio import read_pgm, read_tensor, write_pgm, write_tensor
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
-from .quanvolution import PADDINGS, QuanvConfig, quanvolve
+from .quanvolution import PADDINGS, QuanvConfig, plan_name, quanvolve
 from .training import TrainConfig, evaluate, predict_masks, train
 from .unet import (
     BASELINE_REFERENCE_CONFIG,
@@ -242,7 +241,7 @@ def cmd_quanvolve(args) -> int:
         with open(args.circuit_out, "w", encoding="ascii") as fh:
             fh.write(serialize_circuit(spec))
     print(f"{args.output}: {stack.channels}x{stack.height}x{stack.width} "
-          f"feature stack ({backend.backend_name()} backend)")
+          f"feature stack ({plan_name(spec.n_qubits)} plan)")
     return 0
 
 

@@ -97,7 +97,9 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"PGM stores 2-D rasters, got shape {values.shape}")
-    if values.min() < 0.0 or values.max() > 1.0:
+    # min/max propagate NaN, and every comparison with NaN is False, so the
+    # test is written to pass only for values that are in range.
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("PGM values must lie in [0, 1]")
     quantized = np.rint(values * maxval)
     samples = quantized.astype(">u2" if maxval == 65535 else np.uint8)

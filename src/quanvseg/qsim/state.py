@@ -1,6 +1,6 @@
 """State vectors and elementary gate application for small qubit registers.
 
-Conventions (shared with the dense oracle and the window kernels):
+Conventions (shared with the dense oracle and the quanvolution plans):
 
 * qubit 0 is the most significant bit of the amplitude index, so for a
   3-qubit register the amplitude at index 0b110 belongs to |110> with
@@ -89,42 +89,62 @@ def _check_qubit(q: int, n_qubits: int, role: str):
         raise QubitIndexError(f"{role} qubit {q} out of range for {n_qubits} qubits")
 
 
+def rotate_batch(psi: np.ndarray, kind: str, target: int, c, s):
+    """Apply a rotation on `target` to every state of a batch (N, 2**n).
+
+    c and s are cos/sin of the half angle: scalars for one gate of a
+    circuit, or per-state vectors of shape (N,) for the encoding stage.
+    """
+    v = psi.reshape(psi.shape[0], 1 << target, 2, -1)
+    if isinstance(c, np.ndarray):
+        c = c[:, None, None]
+        s = s[:, None, None]
+    if kind == "RZ":
+        v[:, :, 0, :] *= c - 1j * s
+        v[:, :, 1, :] *= c + 1j * s
+        return
+    a0 = v[:, :, 0, :].copy()
+    a1 = v[:, :, 1, :]
+    if kind == "RY":
+        v[:, :, 0, :] = c * a0 - s * a1
+        v[:, :, 1, :] = s * a0 + c * a1
+    else:  # RX
+        v[:, :, 0, :] = c * a0 - 1j * s * a1
+        v[:, :, 1, :] = -1j * s * a0 + c * a1
+
+
+def cnot_batch(psi: np.ndarray, control: int, target: int):
+    """Flip `target` where `control` is set, in every state of a batch."""
+    lo, hi = min(control, target), max(control, target)
+    v = psi.reshape(psi.shape[0], 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    if control < target:
+        block = v[:, :, 1, :, :, :]  # control bit set; target is axis 3
+        tmp = block[:, :, :, 0, :].copy()
+        block[:, :, :, 0, :] = block[:, :, :, 1, :]
+        block[:, :, :, 1, :] = tmp
+    else:
+        block = v[:, :, :, :, 1, :]  # control bit set; target is axis 2
+        tmp = block[:, :, 0, :, :].copy()
+        block[:, :, 0, :, :] = block[:, :, 1, :, :]
+        block[:, :, 1, :, :] = tmp
+
+
+def apply_gates_batch(psi: np.ndarray, gates):
+    """Apply gates, in order, to every state of a writable batch (N, 2**n)."""
+    for gate in gates:
+        if gate.kind == "CNOT":
+            cnot_batch(psi, gate.control, gate.target)
+        else:
+            half = 0.5 * gate.angle
+            rotate_batch(psi, gate.kind, gate.target, math.cos(half), math.sin(half))
+
+
 def apply_gate_inplace(amps: np.ndarray, n_qubits: int, gate: Gate):
     """Apply one gate to a writable complex amplitude buffer."""
     _check_qubit(gate.target, n_qubits, "target")
-    t = gate.target
     if gate.kind == "CNOT":
         _check_qubit(gate.control, n_qubits, "control")
-        c = gate.control
-        lo, hi = min(c, t), max(c, t)
-        v = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-        if c < t:
-            block = v[:, 1, :, :, :]  # control bit set
-            tmp = block[:, :, 0, :].copy()
-            block[:, :, 0, :] = block[:, :, 1, :]
-            block[:, :, 1, :] = tmp
-        else:
-            block = v[:, :, :, 1, :]
-            tmp = block[:, 0, :, :].copy()
-            block[:, 0, :, :] = block[:, 1, :, :]
-            block[:, 1, :, :] = tmp
-        return
-
-    half = 0.5 * gate.angle
-    c, s = math.cos(half), math.sin(half)
-    v = amps.reshape(1 << t, 2, -1)
-    if gate.kind == "RZ":
-        v[:, 0, :] *= complex(c, -s)
-        v[:, 1, :] *= complex(c, s)
-        return
-    a0 = v[:, 0, :].copy()
-    a1 = v[:, 1, :]
-    if gate.kind == "RY":
-        v[:, 0, :] = c * a0 - s * a1
-        v[:, 1, :] = s * a0 + c * a1
-    else:  # RX
-        v[:, 0, :] = c * a0 - 1j * s * a1
-        v[:, 1, :] = -1j * s * a0 + c * a1
+    apply_gates_batch(amps.reshape(1, -1), (gate,))
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

@@ -124,7 +124,9 @@ def test_quanvolve_default_shape(workdir, capsys):
     assert code == 0
     stack = read_tensor(out)
     assert stack.shape == (9, 64, 64)
-    assert "9x64x64" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "9x64x64" in printed
+    assert "(dense plan)" in printed
 
 
 def test_quanvolve_circuit_reuse_is_bit_identical(workdir):

@@ -436,3 +436,12 @@ def test_pgm_write_validation(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=1024)
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_write_rejects_non_finite(tmp_path, bad):
+    values = np.full((2, 2), 0.5)
+    values[1, 0] = bad
+    with pytest.raises(ValueError):
+        write_pgm(tmp_path / "x.pgm", values)
+    assert not (tmp_path / "x.pgm").exists()

@@ -1,7 +1,7 @@
 """Quanvolution tests: geometry, ranges, oracle equivalence, determinism.
 
 The reference route here re-evaluates every window through the dense
-unitary oracle, bypassing the production kernels entirely.
+unitary oracle, bypassing both evaluation plans entirely.
 """
 
 import math
@@ -13,18 +13,26 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quanvseg import backend
 from quanvseg.exceptions import ConfigError, EncodingRangeError, ShapeError, SizeError
-from quanvseg.qsim.circuits import build_circuit, run_circuit
-from quanvseg.qsim.oracle import dense_unitary_oracle
+from quanvseg.qsim.circuits import (
+    TEMPLATES,
+    build_circuit,
+    parse_circuit,
+    run_circuit,
+    serialize_circuit,
+)
+from quanvseg.qsim.oracle import dense_unitary_oracle, gate_unitary
 from quanvseg.qsim.state import angle_encode, measure_z_expectations, new_zero_state
 from quanvseg.quanvolution import (
+    _CHUNK,
+    _PLANS,
     QuanvConfig,
-    gate_arrays,
+    _statevector_windows,
+    _transfer_matrix,
+    plan_name,
     quanvolve,
     window_positions,
 )
-from quanvseg import _kernels_py
 
 
 def small_config(**kw):
@@ -220,7 +228,7 @@ def test_input_validation():
 
 
 # ---------------------------------------------------------------------
-# Oracle equivalence, both backends
+# Oracle equivalence, both evaluation plans
 
 
 @pytest.mark.parametrize("padding", ["valid", "same-reflect"])
@@ -234,37 +242,90 @@ def test_quanvolve_matches_window_oracle(padding, template):
     npt.assert_allclose(got, ref, atol=1e-9)
 
 
-def test_python_kernel_matches_oracle():
-    circuit = build_circuit("random", 4, 2, seed=9)
-    config = small_config(circuit=circuit)
-    image = np.random.default_rng(8).uniform(size=(8, 8))
-    got = quanvolve(image, config, _kernel_module=_kernels_py).data
-    ref = oracle_quanvolve(image, config)
-    npt.assert_allclose(got, ref, atol=1e-9)
+def oracle_expectations(spec, enc):
+    """<Z_q> of encoded windows (N, n) from product states and gate matrices.
+
+    Applies every qsim.oracle.gate_unitary in order, which is what
+    dense_unitary_oracle multiplies, without its six-qubit cap.
+    """
+    n = spec.n_qubits
+    states = []
+    for angles in enc:
+        psi = np.ones(1, dtype=np.complex128)
+        for theta in angles:
+            psi = np.kron(psi, [math.cos(theta / 2), math.sin(theta / 2)])
+        states.append(psi)
+    psi = np.array(states).T
+    for gate in spec.gates:
+        psi = gate_unitary(gate, n) @ psi
+    probs = np.abs(psi) ** 2
+    bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
+    return probs.T @ (1.0 - 2.0 * bits)
 
 
-def test_backends_agree():
+@pytest.mark.parametrize("n_qubits", [4, 9])
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("plan", sorted(_PLANS))
+def test_plan_matches_window_oracle(plan, template, n_qubits):
+    circuit = build_circuit(template, n_qubits, 2, seed=9)
+    rng = np.random.default_rng(8)
+    enc = math.pi * rng.uniform(size=(40, n_qubits))
+    enc[:4] = 0.0
+    enc[4:8] = math.pi
+    got = _PLANS[plan](enc, circuit)
+    npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
+
+
+def test_plans_agree_across_chunks():
     circuit = build_circuit("strongly_entangled", 5, 2, seed=10)
-    config = QuanvConfig(circuit=circuit, kernel_size=2, padding="valid",
-                         rescale=False)
-    image = np.random.default_rng(9).uniform(size=(10, 10))
-    via_python = quanvolve(image, config, _kernel_module=_kernels_py).data
-    via_selected = quanvolve(image, config).data
-    npt.assert_allclose(via_selected, via_python, atol=1e-12)
+    enc = math.pi * np.random.default_rng(9).uniform(size=(2 * _CHUNK + 7, 5))
+    dense = _PLANS["dense"](enc, circuit)
+    simulated = _PLANS["statevector"](enc, circuit)
+    npt.assert_allclose(dense, simulated, atol=1e-12)
 
 
-def test_gate_arrays_encoding():
-    circuit = build_circuit("strongly_entangled", 3, 1, seed=1)
-    kinds, targets, controls, cos_half, sin_half = gate_arrays(circuit)
-    assert kinds.dtype == np.int8
-    for i, g in enumerate(circuit.gates):
-        if g.kind == "CNOT":
-            assert kinds[i] == 3
-            assert controls[i] == g.control and targets[i] == g.target
+def test_plan_follows_qubit_count():
+    assert plan_name(10) == "dense"
+    assert plan_name(11) == "statevector"
+    image = np.random.default_rng(11).uniform(size=(4, 4))
+    _transfer_matrix.cache_clear()
+    for n_qubits in (10, 11):
+        circuit = build_circuit("basic_entangled", n_qubits, 1, seed=11)
+        got = quanvolve(image, small_config(circuit=circuit)).data
+        assert got.shape == (n_qubits, 3, 3)
+    # Only the 10-qubit circuit went through a transfer matrix.
+    assert _transfer_matrix.cache_info().misses == 1
+
+
+def test_dense_plan_compiles_once_per_spec():
+    circuit = build_circuit("random", 4, 2, seed=12)
+    image = np.random.default_rng(12).uniform(size=(8, 8))
+    _transfer_matrix.cache_clear()
+    first = quanvolve(image, small_config(circuit=circuit)).data
+    # An equal spec rebuilt from text, as eval rebuilds it from a checkpoint.
+    again = parse_circuit(serialize_circuit(circuit))
+    second = quanvolve(image, small_config(circuit=again)).data
+    info = _transfer_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.tobytes() == second.tobytes()
+
+
+def test_transfer_matrix_encoding():
+    for template in TEMPLATES:
+        circuit = build_circuit(template, 3, 1, seed=1)
+        re, im, signs = _transfer_matrix(circuit)
+        u_t = dense_unitary_oracle(circuit).T
+        npt.assert_allclose(re, u_t.real, atol=1e-12)
+        if im is None:
+            assert not u_t.imag.any()
         else:
-            assert kinds[i] == {"RX": 0, "RY": 1, "RZ": 2}[g.kind]
-            assert math.isclose(cos_half[i], math.cos(0.5 * g.angle))
-            assert math.isclose(sin_half[i], math.sin(0.5 * g.angle))
+            npt.assert_allclose(im, u_t.imag, atol=1e-12)
+        assert not re.flags.writeable
+    # basic_entangled holds only RY and CNOT, so its matrix is real.
+    assert _transfer_matrix(build_circuit("basic_entangled", 3, 1, seed=1))[1] is None
+    # Row j: +1 where qubit q of basis state j is 0; qubit 0 is the MSB.
+    npt.assert_array_equal(signs[0b011], [1.0, -1.0, -1.0])
+    npt.assert_array_equal(signs[0b100], [-1.0, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------
@@ -294,6 +355,40 @@ def test_thread_count_does_not_change_bytes():
     assert _quanvolve_bytes(1) == _quanvolve_bytes(4)
 
 
+def _dense_bytes(blas_threads):
+    """Quanvolve with every template at 9 qubits under a fixed BLAS thread count."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from quanvseg.qsim.circuits import TEMPLATES, build_circuit\n"
+        "from quanvseg.quanvolution import QuanvConfig, plan_name, quanvolve\n"
+        "assert plan_name(9) == 'dense'\n"
+        "for size in (37, 64):\n"
+        "    image = np.random.default_rng(size).uniform(size=(size, size))\n"
+        "    for template in TEMPLATES:\n"
+        "        config = QuanvConfig(circuit=build_circuit(template, 9, 2, seed=14))\n"
+        "        sys.stdout.buffer.write(quanvolve(image, config).data.tobytes())\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True)
+    return out.stdout
+
+
+def test_blas_thread_count_does_not_change_dense_bytes():
+    assert _dense_bytes(1) == _dense_bytes(2)
+
+
+def test_statevector_chunk_threads_do_not_change_bytes(monkeypatch):
+    circuit = build_circuit("strongly_entangled", 4, 2, seed=15)
+    enc = math.pi * np.random.default_rng(15).uniform(size=(3 * _CHUNK + 5, 4))
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("QUANVSEG_THREADS", threads)
+        runs.append(_statevector_windows(enc, circuit).tobytes())
+    assert runs[0] == runs[1]
+
+
 def test_threads_env_validation():
     from quanvseg.quanvolution import n_threads
 
@@ -312,7 +407,3 @@ def test_threads_env_validation():
             os.environ.pop("QUANVSEG_THREADS", None)
         else:
             os.environ["QUANVSEG_THREADS"] = old
-
-
-def test_selected_backend_is_reported():
-    assert backend.backend_name() in ("ext", "python")
