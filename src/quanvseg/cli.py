@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .backend import plan_name
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datapipe import (
     PatchItem,
@@ -28,7 +29,7 @@ from .datapipe import (
 from .exceptions import ConfigError, QuanvsegError, ShapeError
 from .fileio import read_pgm, read_tensor, write_pgm, write_tensor
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
-from .quanvolution import PADDINGS, QuanvConfig, plan_name, quanvolve
+from .quanvolution import PADDINGS, QuanvConfig, quanvolve
 from .training import TrainConfig, evaluate, predict_masks, train
 from .unet import (
     BASELINE_REFERENCE_CONFIG,

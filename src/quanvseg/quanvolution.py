@@ -5,42 +5,25 @@ angle-encoded onto the circuit's qubits, run through the frozen circuit,
 and measured.  Channel q of the output holds qubit q's Z expectation at
 every window position (optionally rescaled from [-1, 1] to [0, 1]).
 
-Windows are evaluated by one of two plans, chosen from the qubit count:
-
-* dense (at most DENSE_MAX_QUBITS qubits): the circuit is frozen, so its
-  transfer matrix is built once per CircuitSpec and cached; each window
-  is then a real product state, and its Z expectations are
-  |psi U^T|^2 @ S for the +-1 sign table S, a few GEMMs per chunk.
-* statevector (above that): every window is simulated gate by gate on a
-  batch of state vectors, with chunks spread over QUANVSEG_THREADS
-  threads.  Past ten qubits the dense matrix costs as much to build as
-  simulating 2**n windows.
+The circuit itself is evaluated in quanvseg.backend, by the dense or the
+statevector plan chosen from the qubit count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import backend
+from .backend import n_threads  # re-exported: perfbench reads quanvolution.n_threads
 from .exceptions import ConfigError, EncodingRangeError, ShapeError, SizeError
 from .qsim.circuits import CircuitSpec
-from .qsim.state import MAX_SIM_QUBITS, apply_gates_batch, rotate_batch
+from .qsim.state import MAX_SIM_QUBITS
 
 PADDINGS = ("valid", "same-reflect")
-
-# Largest register evaluated through a cached dense transfer matrix.
-DENSE_MAX_QUBITS = 10
-
-# Windows are evaluated in fixed-size chunks, so memory stays bounded and
-# results do not depend on the thread count (each chunk writes a disjoint
-# output slice).
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -116,103 +99,6 @@ def window_positions(height, width, kernel, stride, padding):
     return [(r, c) for r in rows for c in cols]
 
 
-def n_threads() -> int:
-    """Statevector-plan thread cap: QUANVSEG_THREADS, defaulting to all cores."""
-    raw = os.environ.get("QUANVSEG_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"QUANVSEG_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError("QUANVSEG_THREADS must be >= 1")
-    return value
-
-
-def plan_name(n_qubits: int) -> str:
-    """The window-evaluation plan used for a register: dense or statevector."""
-    return "dense" if n_qubits <= DENSE_MAX_QUBITS else "statevector"
-
-
-def _chunks(n_windows):
-    return [(lo, min(lo + _CHUNK, n_windows)) for lo in range(0, n_windows, _CHUNK)]
-
-
-@functools.lru_cache(maxsize=8)
-def _transfer_matrix(spec: CircuitSpec):
-    """(Re, Im or None, S) of the frozen circuit, shared read-only.
-
-    Row i of the batch run on the identity is U e_i, so the result is U^T.
-    Im is None when it is exactly zero (circuits of RY and CNOT only).
-    S[j, q] is +1 where qubit q of basis state j is 0, else -1.
-    """
-    n = spec.n_qubits
-    rows = np.eye(1 << n, dtype=np.complex128)
-    apply_gates_batch(rows, spec.gates)
-    re = np.ascontiguousarray(rows.real)
-    im = np.ascontiguousarray(rows.imag) if rows.imag.any() else None
-    bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
-    for array in (re, im, signs):
-        if array is not None:
-            array.flags.writeable = False
-    return re, im, signs
-
-
-def _dense_windows(enc, spec):
-    """Z expectations of encoded windows (N, n_qubits) via the transfer matrix."""
-    re, im, signs = _transfer_matrix(spec)
-    out = np.empty_like(enc)
-    for lo, hi in _chunks(enc.shape[0]):
-        half = 0.5 * enc[lo:hi]
-        cos, sin = np.cos(half), np.sin(half)
-        # Real product state, qubit 0 as the most significant factor.
-        psi = np.ones((hi - lo, 1))
-        for q in range(spec.n_qubits):
-            psi = np.stack((psi * cos[:, q:q + 1], psi * sin[:, q:q + 1]), axis=2)
-            psi = psi.reshape(hi - lo, -1)
-        amp = psi @ re
-        probs = amp * amp
-        if im is not None:
-            amp = psi @ im
-            probs += amp * amp
-        np.matmul(probs, signs, out=out[lo:hi])
-    return out
-
-
-def _statevector_windows(enc, spec):
-    """Z expectations of encoded windows (N, n_qubits), simulated gate by gate."""
-    n = spec.n_qubits
-    out = np.empty_like(enc)
-
-    def run(lo, hi):
-        psi = np.zeros((hi - lo, 1 << n), dtype=np.complex128)
-        psi[:, 0] = 1.0
-        half = 0.5 * enc[lo:hi]
-        for q in range(n):
-            rotate_batch(psi, "RY", q, np.cos(half[:, q]), np.sin(half[:, q]))
-        apply_gates_batch(psi, spec.gates)
-        probs = psi.real**2 + psi.imag**2
-        for q in range(n):
-            v = probs.reshape(hi - lo, 1 << q, 2, -1)
-            out[lo:hi, q] = v[:, :, 0, :].sum(axis=(1, 2)) - v[:, :, 1, :].sum(axis=(1, 2))
-
-    bounds = _chunks(enc.shape[0])
-    workers = n_threads()
-    if workers == 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            run(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for f in [pool.submit(run, lo, hi) for lo, hi in bounds]:
-                f.result()
-    return out
-
-
-_PLANS = {"dense": _dense_windows, "statevector": _statevector_windows}
-
-
 def quanvolve(image, config: QuanvConfig) -> FeatureStack:
     """Quanvolve a 2-D raster with values in [0, 1] into a FeatureStack.
 
@@ -243,7 +129,7 @@ def quanvolve(image, config: QuanvConfig) -> FeatureStack:
     enc = np.zeros((flat.shape[0], config.n_qubits), dtype=np.float64)
     enc[:, : k * k] = math.pi * flat
 
-    z = _PLANS[plan_name(config.n_qubits)](enc, config.circuit)
+    z = backend.kernel().run_windows(enc, config.circuit)
     if config.rescale:
         z = 0.5 * (1.0 + z)
     stack = z.T.reshape(config.n_qubits, n_h, n_w).copy()

@@ -23,16 +23,8 @@ from quanvseg.qsim.circuits import (
 )
 from quanvseg.qsim.oracle import dense_unitary_oracle, gate_unitary
 from quanvseg.qsim.state import angle_encode, measure_z_expectations, new_zero_state
-from quanvseg.quanvolution import (
-    _CHUNK,
-    _PLANS,
-    QuanvConfig,
-    _statevector_windows,
-    _transfer_matrix,
-    plan_name,
-    quanvolve,
-    window_positions,
-)
+from quanvseg.backend import _CHUNK, _PLANS, _transfer_matrix, backend_name, plan_name
+from quanvseg.quanvolution import QuanvConfig, quanvolve, window_positions
 
 
 def small_config(**kw):
@@ -276,7 +268,8 @@ def test_plan_matches_window_oracle(plan, template, n_qubits):
     npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
 
 
-def test_plans_agree_across_chunks():
+def test_backends_agree():
+    """The dense and statevector plans agree over several chunks."""
     circuit = build_circuit("strongly_entangled", 5, 2, seed=10)
     enc = math.pi * np.random.default_rng(9).uniform(size=(2 * _CHUNK + 7, 5))
     dense = _PLANS["dense"](enc, circuit)
@@ -284,7 +277,9 @@ def test_plans_agree_across_chunks():
     npt.assert_allclose(dense, simulated, atol=1e-12)
 
 
-def test_plan_follows_qubit_count():
+def test_selected_backend_is_reported():
+    """The plan follows the qubit count alone; only dense ones compile."""
+    assert backend_name() == "numpy"
     assert plan_name(10) == "dense"
     assert plan_name(11) == "statevector"
     image = np.random.default_rng(11).uniform(size=(4, 4))
@@ -333,15 +328,18 @@ def test_transfer_matrix_encoding():
 
 
 def _quanvolve_bytes(threads):
-    """Run a quanvolution in a subprocess with a fixed thread cap."""
+    """Run an 11-qubit (statevector plan) quanvolution over two chunks in a
+    subprocess with a fixed thread cap."""
     code = (
         "import numpy as np\n"
+        "from quanvseg.backend import _CHUNK, plan_name\n"
         "from quanvseg.qsim.circuits import build_circuit\n"
         "from quanvseg.quanvolution import QuanvConfig, quanvolve\n"
-        "circuit = build_circuit('basic_entangled', 4, 2, seed=12)\n"
-        "config = QuanvConfig(circuit=circuit, kernel_size=2, padding='valid',\n"
-        "                     rescale=True)\n"
-        "image = np.random.default_rng(13).uniform(size=(40, 40))\n"
+        "assert plan_name(11) == 'statevector'\n"
+        "circuit = build_circuit('strongly_entangled', 11, 1, seed=12)\n"
+        "config = QuanvConfig(circuit=circuit, kernel_size=3, rescale=True)\n"
+        "image = np.random.default_rng(13).uniform(size=(47, 47))\n"
+        "assert _CHUNK < 47 * 47 <= 2 * _CHUNK\n"
         "import sys\n"
         "sys.stdout.buffer.write(quanvolve(image, config).data.tobytes())\n"
     )
@@ -352,7 +350,7 @@ def _quanvolve_bytes(threads):
 
 
 def test_thread_count_does_not_change_bytes():
-    assert _quanvolve_bytes(1) == _quanvolve_bytes(4)
+    assert _quanvolve_bytes(1) == _quanvolve_bytes(2)
 
 
 def _dense_bytes(blas_threads):
@@ -361,7 +359,8 @@ def _dense_bytes(blas_threads):
         "import sys\n"
         "import numpy as np\n"
         "from quanvseg.qsim.circuits import TEMPLATES, build_circuit\n"
-        "from quanvseg.quanvolution import QuanvConfig, plan_name, quanvolve\n"
+        "from quanvseg.backend import plan_name\n"
+        "from quanvseg.quanvolution import QuanvConfig, quanvolve\n"
         "assert plan_name(9) == 'dense'\n"
         "for size in (37, 64):\n"
         "    image = np.random.default_rng(size).uniform(size=(size, size))\n"
@@ -377,16 +376,6 @@ def _dense_bytes(blas_threads):
 
 def test_blas_thread_count_does_not_change_dense_bytes():
     assert _dense_bytes(1) == _dense_bytes(2)
-
-
-def test_statevector_chunk_threads_do_not_change_bytes(monkeypatch):
-    circuit = build_circuit("strongly_entangled", 4, 2, seed=15)
-    enc = math.pi * np.random.default_rng(15).uniform(size=(3 * _CHUNK + 5, 4))
-    runs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("QUANVSEG_THREADS", threads)
-        runs.append(_statevector_windows(enc, circuit).tobytes())
-    assert runs[0] == runs[1]
 
 
 def test_threads_env_validation():
