@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .exceptions import FileFormatError
+from .exceptions import ConfigError, FileFormatError
 from .fileio import tensor_from_bytes, tensor_record_size, tensor_to_bytes
 from .unet import AttentionUNet, AttentionUNetConfig, parameter_shapes
 
@@ -64,6 +64,13 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
             fh.write(circuit_text)
 
 
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FileFormatError(f"{where}: expected an integer, got {text!r}") from None
+
+
 def load_checkpoint(prefix):
     """Returns (model, extras).
 
@@ -75,38 +82,57 @@ def load_checkpoint(prefix):
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != MANIFEST_MAGIC:
         raise FileFormatError(f"not a checkpoint manifest: {prefix}.manifest")
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, str]] = {}  # key -> (value, "<file> line <n>")
     tensor_lines = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
+        where = f"{prefix}.manifest line {lineno}"
         fields = ln.split()
         if fields[0] in ("param", "stat"):
             if len(fields) != 4:
                 raise FileFormatError(f"bad tensor line in manifest: {ln!r}")
-            tensor_lines.append(fields)
+            kind, name, dims, offset_text = fields
+            shape = tuple(_int(v, where) for v in dims.split(","))
+            offset = _int(offset_text, where)
+            if offset < 0:
+                raise FileFormatError(f"{where}: negative tensor offset {offset}")
+            tensor_lines.append((kind, name, shape, offset))
         elif len(fields) == 2:
-            header[fields[0]] = fields[1]
+            header[fields[0]] = (fields[1], where)
         else:
             raise FileFormatError(f"bad manifest line: {ln!r}")
+
+    def header_int(key):
+        text, where = header[key]
+        return _int(text, where)
+
+    def header_ints(key):
+        text, where = header[key]
+        return tuple(_int(v, where) for v in text.split(","))
+
     try:
         config = AttentionUNetConfig(
-            in_channels=int(header["in_channels"]),
-            depth=int(header["depth"]),
-            widths=tuple(int(v) for v in header["widths"].split(",")),
-            gate_widths=tuple(int(v) for v in header["gate_widths"].split(",")),
-            upsample=header["upsample"],
+            in_channels=header_int("in_channels"),
+            depth=header_int("depth"),
+            widths=header_ints("widths"),
+            gate_widths=header_ints("gate_widths"),
+            upsample=header["upsample"][0],
         )
-        dtype = np.dtype(header.get("dtype", "float32"))
     except KeyError as exc:
         raise FileFormatError(f"manifest missing header {exc}") from None
+    except ConfigError as exc:
+        raise FileFormatError(f"{prefix}.manifest: {exc}") from None
+    dtype_text = header.get("dtype", ("float32",))[0]
+    try:
+        dtype = np.dtype(dtype_text)
+    except TypeError:
+        raise FileFormatError(f"{prefix}.manifest: unknown dtype {dtype_text!r}") from None
 
     with open(prefix + ".tensors", "rb") as fh:
         blob = fh.read()
     loaded: dict[str, tuple[str, np.ndarray]] = {}
-    for kind, name, dims, offset_text in tensor_lines:
-        offset = int(offset_text)
-        shape = tuple(int(v) for v in dims.split(","))
+    for kind, name, shape, offset in tensor_lines:
         size = tensor_record_size(blob[offset : offset + 22], offset)
         arr = tensor_from_bytes(blob[offset : offset + size], offset)
         if arr.shape != shape:
@@ -136,8 +162,10 @@ def load_checkpoint(prefix):
         for key in _QUANV_KEYS:
             if key not in header:
                 raise FileFormatError(f"manifest missing header {key}")
-            extras[key] = header[key]
-        circuit_path = os.path.join(os.path.dirname(prefix) or ".", header["circuit"])
+            extras[key] = header[key][0]
+        for key in ("quanv.kernel", "quanv.stride", "quanv.rescale"):
+            header_int(key)  # extras stay text; a bad field is reported with its line here
+        circuit_path = os.path.join(os.path.dirname(prefix) or ".", header["circuit"][0])
         with open(circuit_path, encoding="ascii") as fh:
             extras["circuit"] = fh.read()
     model = AttentionUNet(config, params, stats, dtype=dtype)

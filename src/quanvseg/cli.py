@@ -26,7 +26,7 @@ from .datapipe import (
     split,
     synth_scene,
 )
-from .exceptions import ConfigError, QuanvsegError, ShapeError
+from .exceptions import ConfigError, FileFormatError, QuanvsegError, ShapeError
 from .fileio import read_pgm, read_tensor, write_pgm, write_tensor
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
 from .quanvolution import PADDINGS, QuanvConfig, quanvolve
@@ -217,13 +217,17 @@ def _restore_quanv(extras):
     if "circuit" not in extras:
         return None, None
     spec = parse_circuit(extras["circuit"])
-    quanv_config = QuanvConfig(
-        circuit=spec,
-        kernel_size=int(extras["quanv.kernel"]),
-        stride=int(extras["quanv.stride"]),
-        padding=extras["quanv.padding"],
-        rescale=bool(int(extras["quanv.rescale"])),
-    )
+    try:
+        quanv_config = QuanvConfig(
+            circuit=spec,
+            kernel_size=int(extras["quanv.kernel"]),
+            stride=int(extras["quanv.stride"]),
+            padding=extras["quanv.padding"],
+            rescale=bool(int(extras["quanv.rescale"])),
+        )
+    except ConfigError as exc:
+        # The settings come from the checkpoint file, not from the user.
+        raise FileFormatError(f"checkpoint quanvolution settings: {exc}") from None
     return quanv_config, extras["circuit"]
 
 

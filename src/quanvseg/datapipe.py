@@ -114,18 +114,23 @@ def save_patch_dir(outdir, train: PatchSet, test: PatchSet):
 
 def load_patch_dir(path) -> tuple[PatchSet, PatchSet]:
     """Read a directory written by save_patch_dir; returns (train, test)."""
-    with open(os.path.join(path, "index.txt"), encoding="ascii") as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
+    index = os.path.join(path, "index.txt")
+    with open(index, encoding="ascii") as fh:
+        lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     buckets: dict[str, list[PatchItem]] = {"train": [], "test": []}
-    for fields in lines:
+    for lineno, fields in lines:
         if len(fields) != 4 or fields[1] not in buckets:
-            raise FileFormatError(f"bad index line: {' '.join(fields)!r}")
+            raise FileFormatError(f"{index} line {lineno}: bad index line: {' '.join(fields)!r}")
         name, label, row, col = fields
+        try:
+            row, col = int(row), int(col)
+        except ValueError:
+            raise FileFormatError(
+                f"{index} line {lineno}: row and col must be integers, got {row!r} {col!r}"
+            ) from None
         image = read_tensor(os.path.join(path, f"{name}.img.qvt1"))
         mask = read_tensor(os.path.join(path, f"{name}.msk.qvt1"))
-        buckets[label].append(
-            PatchItem(image=image, mask=mask, row=int(row), col=int(col))
-        )
+        buckets[label].append(PatchItem(image=image, mask=mask, row=row, col=col))
     return PatchSet(items=tuple(buckets["train"])), PatchSet(items=tuple(buckets["test"]))
 
 

@@ -4,73 +4,100 @@ Every forward returns (output, cache); the matching backward consumes
 (cache, gy) and returns gradients in input order.  The ops are pure:
 batch norm hands back updated running statistics instead of mutating
 its arguments.  Convolution follows the cross-correlation convention
-(no kernel flip).
+(no kernel flip).  It runs on a channel-major raster, the zero-padded
+input laid out as (C, N*Hp*Wp), where kernel tap (i, j) is the column
+offset i*Wp + j, so the taps become GEMMs over shifted views and no
+patch matrix is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ShapeError
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """(N, C, Hp, Wp) -> ((N, L, C*kh*kw) patch matrix, H_out, W_out)."""
-    n = xp.shape[0]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    h_out, w_out = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, -1)
-    return np.ascontiguousarray(cols), h_out, w_out
+def _correlate(xf, w, wp: int, length: int):
+    """out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < length.
 
-
-def _col2im(gcols, x_shape, kh, kw, stride, padding):
-    """Scatter-add column gradients back onto the input raster."""
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    g6 = gcols.reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    gx = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i : i + stride * (h_out - 1) + 1 : stride,
-               j : j + stride * (w_out - 1) + 1 : stride] += g6[:, :, i, j]
-    if padding:
-        gx = gx[:, :, padding : hp - padding, padding : wp - padding]
-    return np.ascontiguousarray(gx)
+    `xf` is a channel-major raster of row width `wp` with at least
+    length + (kH-1)*wp + kW-1 columns.  The kW taps of a kernel row are
+    stacked into the contraction, so each kernel row costs one GEMM over
+    a shifted view (Cho & Brand, arXiv:1706.06873).
+    """
+    c_out, c_in, kh, kw = w.shape
+    span = length + (kh - 1) * wp
+    rows = np.empty((kw, c_in, span), dtype=xf.dtype)
+    for j in range(kw):
+        rows[j] = xf[:, j : j + span]
+    rows = rows.reshape(kw * c_in, span)
+    w_rows = w.transpose(2, 0, 3, 1).reshape(kh, c_out, kw * c_in)
+    out = np.matmul(w_rows[0], rows[:, :length])
+    if kh > 1:
+        tmp = np.empty_like(out)
+        for i in range(1, kh):
+            np.matmul(w_rows[i], rows[:, i * wp : i * wp + length], out=tmp)
+            out += tmp
+    return out
 
 
 def conv2d_forward(x, w, b=None, stride: int = 1, padding: int = 0):
-    """Cross-correlate (N, C_in, H, W) with (C_out, C_in, kH, kW) + bias."""
+    """Cross-correlate (N, C_in, H, W) with (C_out, C_in, kH, kW) + bias.
+
+    Stride > 1 subsamples the stride-1 result.
+    """
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d shapes disagree: input {x.shape}, kernel {w.shape}")
-    c_out, _, kh, kw = w.shape
+    c_out, c_in, kh, kw = w.shape
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"bias shape {b.shape} != ({c_out},)")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    if kh > xp.shape[2] or kw > xp.shape[3]:
-        raise ShapeError(f"kernel {kh}x{kw} exceeds padded input {xp.shape[2:]}")
-    n = x.shape[0]
-    cols, h_out, w_out = _im2col(xp, kh, kw, stride)
-    out = cols @ w.reshape(c_out, -1).T
-    if b is not None:
-        out = out + b
-    out = np.ascontiguousarray(out.transpose(0, 2, 1).reshape(n, c_out, h_out, w_out))
-    return out, (cols, x.shape, w, b is not None, stride, padding)
+    n, _, h, wd = x.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    if kh > hp or kw > wp:
+        raise ShapeError(f"kernel {kh}x{kw} exceeds padded input {(hp, wp)}")
+    length = n * hp * wp
+    # Zero columns past `length` let every tap read `length` columns; the
+    # outputs they reach lie outside the valid window and are cropped.
+    xf = np.zeros((c_in, length + (kh - 1) * wp + kw - 1), dtype=x.dtype)
+    xf[:, :length].reshape(c_in, n, hp, wp)[
+        :, :, padding : padding + h, padding : padding + wd] = x.transpose(1, 0, 2, 3)
+    acc = _correlate(xf, w, wp, length)
+    view = acc.reshape(c_out, n, hp, wp)[
+        :, :, : hp - kh + 1 : stride, : wp - kw + 1 : stride].transpose(1, 0, 2, 3)
+    if b is None:
+        out = np.ascontiguousarray(view)
+    else:
+        out = np.empty(view.shape, dtype=np.result_type(acc, b))
+        np.add(view, b[None, :, None, None], out=out)
+    return out, (xf, x.shape, w, b is not None, stride, padding)
 
 
 def conv2d_backward(cache, gy):
     """Returns (gx, gw, gb); gb is None when the forward had no bias."""
-    cols, x_shape, w, has_b, stride, padding = cache
-    n = x_shape[0]
+    xf, x_shape, w, has_b, stride, padding = cache
+    n, c_in, h, wd = x_shape
     c_out, _, kh, kw = w.shape
-    gy2 = gy.reshape(n, c_out, -1).transpose(0, 2, 1)
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    length = n * hp * wp
+    reach = (kh - 1) * wp + kw - 1
+    # gy on the output raster, after `reach` leading zero columns: the
+    # input gradient is then the forward correlation of this raster with
+    # the flipped, transposed kernel.
+    gpad = np.zeros((c_out, reach + length), dtype=gy.dtype)
+    g = gpad[:, reach:]
+    g.reshape(c_out, n, hp, wp)[
+        :, :, : hp - kh + 1 : stride, : wp - kw + 1 : stride] = gy.transpose(1, 0, 2, 3)
+    g_t = g.T.copy()
+    gw = np.empty((kh, kw, c_in, c_out), dtype=np.result_type(gy, xf))
+    for i in range(kh):
+        for j in range(kw):
+            off = i * wp + j
+            np.matmul(xf[:, off : off + length], g_t, out=gw[i, j])
+    gxf = _correlate(gpad, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), wp, length)
+    gx = gxf.reshape(c_in, n, hp, wp)[
+        :, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3)
     gb = gy.sum(axis=(0, 2, 3)) if has_b else None
-    gw = np.tensordot(gy2, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
-    gcols = gy2 @ w.reshape(c_out, -1)
-    gx = _col2im(gcols, x_shape, kh, kw, stride, padding)
-    return gx, gw, gb
+    return np.ascontiguousarray(gx), np.ascontiguousarray(gw.transpose(3, 2, 0, 1)), gb
 
 
 def relu_forward(x):
@@ -82,11 +109,10 @@ def relu_backward(cache, gy):
 
 
 def sigmoid_forward(x):
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; the quotient is 1/(1+exp(-x)) for x >= 0
+    # and exp(x)/(1+exp(x)) below, the two stable forms of the logistic.
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out, out
 
 

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,8 @@ import pytest
 from quanvseg.checkpoint import save_checkpoint
 from quanvseg.cli import DEFAULTS, load_config, main
 from quanvseg.fileio import read_pgm, read_tensor, write_pgm
+from quanvseg.qsim.circuits import build_circuit, serialize_circuit
+from quanvseg.quanvolution import QuanvConfig
 from quanvseg.unet import AttentionUNetConfig, build_model
 
 FAST_MODEL = ["--set", "model.depth=2", "--set", "model.widths=4,8"]
@@ -276,6 +279,72 @@ def test_predict_writes_one_pgm_per_patch(trained, workdir):
     values, maxval = read_pgm(os.path.join(outdir, files[0]))
     assert maxval == 255
     assert set(np.unique(values)) <= {0.0, 1.0}
+
+
+# ---------------------------------------------------------------------
+# Malformed patch index and checkpoint manifest: exit 1, no traceback
+
+
+@pytest.mark.parametrize("bad_line", ["p00000 train x 0", "p00000 test 0 1.5"])
+def test_index_non_integer_position_exits_1(workdir, tmp_path, capsys, bad_line):
+    patches = tmp_path / "patches"
+    shutil.copytree(workdir["patches"], patches)
+    lines = (patches / "index.txt").read_text().splitlines()
+    lines[2] = bad_line
+    (patches / "index.txt").write_text("\n".join(lines) + "\n")
+    code = main(["train", "--patches", str(patches),
+                 "--checkpoint-out", str(tmp_path / "model")] + FAST_MODEL + FAST_TRAIN)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "index.txt line 3" in err
+
+
+MANIFEST_DEFECTS = {
+    "offset": (r"^(param enc0\.conv1\.w \S+) 0$", r"\1 zero", "line 8"),
+    "negative-offset": (r"^(param enc0\.conv1\.b \S+) \d+$", r"\1 -30", "negative tensor offset -30"),
+    "dims": (r"^param enc0\.conv1\.w 4,1,3,3 ", "param enc0.conv1.w 4,one,3,3 ", "line 8"),
+    "in_channels": (r"^in_channels 1$", "in_channels 1.5", "line 2"),
+    "depth": (r"^depth 2$", "depth two", "line 3"),
+    "depth-invalid": (r"^depth 2$", "depth 1", "depth must be >= 2"),
+    "widths": (r"^widths 4,8$", "widths 4,x", "line 4"),
+    "gate_widths": (r"^gate_widths 2$", "gate_widths 2,", "line 5"),
+    "dtype": (r"^dtype float32$", "dtype floaty", "floaty"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MANIFEST_DEFECTS))
+def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
+    pattern, replacement, message = MANIFEST_DEFECTS[defect]
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    text = open(prefix + ".manifest").read()
+    broken, count = re.subn(pattern, replacement, text, count=1, flags=re.M)
+    assert count == 1
+    with open(prefix + ".manifest", "w") as fh:
+        fh.write(broken)
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
+                                           ("quanv.kernel 0", "kernel_size must be >= 1")])
+def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, message):
+    spec = build_circuit("basic_entangled", 4, 1, seed=2)
+    qcfg = QuanvConfig(circuit=spec, kernel_size=2, stride=1,
+                       padding="same-reflect", rescale=True)
+    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=4))
+    prefix = str(tmp_path / "qckpt")
+    save_checkpoint(prefix, model, quanv_config=qcfg, circuit_text=serialize_circuit(spec))
+    text = open(prefix + ".manifest").read()
+    assert "\nquanv.kernel 2\n" in text
+    with open(prefix + ".manifest", "w") as fh:
+        fh.write(text.replace("\nquanv.kernel 2\n", f"\n{line}\n"))
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 # ---------------------------------------------------------------------

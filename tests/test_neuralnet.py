@@ -64,6 +64,65 @@ def test_conv_rejects_channel_mismatch():
         ops.conv2d_forward(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)))
 
 
+def _conv_reference(x, w, b, stride, padding, gy):
+    """Direct loops over output pixels: (out, gx, gw, gb) of cross-correlation."""
+    n, c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.zeros((n, c_in, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c_out, h_out, w_out))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for r in range(h_out):
+        for c in range(w_out):
+            rows = slice(r * stride, r * stride + kh)
+            cols = slice(c * stride, c * stride + kw)
+            patch = xp[:, :, rows, cols]
+            out[:, :, r, c] = np.einsum("nckl,ockl->no", patch, w)
+            gxp[:, :, rows, cols] += np.einsum("no,ockl->nckl", gy[:, :, r, c], w)
+            gw += np.einsum("no,nckl->ockl", gy[:, :, r, c], patch)
+    gb = None
+    if b is not None:
+        out += b[None, :, None, None]
+        gb = gy.sum(axis=(0, 2, 3))
+    gx = gxp[:, :, padding : padding + h, padding : padding + wd]
+    return out, gx, gw, gb
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (2, 3)])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_matches_loop_reference(stride, padding, kernel):
+    rng = np.random.default_rng(100 * stride + 10 * padding + kernel[0] + kernel[1])
+    x = rng.normal(size=(2, 3, 7, 9))
+    w = rng.normal(size=(4, 3) + kernel)
+    b = rng.normal(size=4) if (stride + padding) % 2 else None
+    out, cache = ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
+    gy = rng.normal(size=out.shape)
+    want_out, want_gx, want_gw, want_gb = _conv_reference(x, w, b, stride, padding, gy)
+    gx, gw, gb = ops.conv2d_backward(cache, gy)
+    npt.assert_allclose(out, want_out, rtol=0, atol=1e-9)
+    npt.assert_allclose(gx, want_gx, rtol=0, atol=1e-9)
+    npt.assert_allclose(gw, want_gw, rtol=0, atol=1e-9)
+    if b is None:
+        assert gb is None
+    else:
+        npt.assert_allclose(gb, want_gb, rtol=0, atol=1e-9)
+
+
+def test_conv_float32_stays_float32():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    b = np.zeros(4, dtype=np.float32)
+    out, cache = ops.conv2d_forward(x, w, b, stride=2, padding=1)
+    assert out.dtype == np.float32
+    for g in ops.conv2d_backward(cache, np.ones_like(out)):
+        assert g.dtype == np.float32
+
+
 # ---------------------------------------------------------------------
 # Pointwise layers and pooling
 
@@ -79,6 +138,30 @@ def test_sigmoid_values():
     big, _ = ops.sigmoid_forward(np.array([800.0, -800.0]))
     assert np.all(np.isfinite(big))
     npt.assert_allclose(big, [1.0, 0.0], atol=1e-12)
+
+
+def _sigmoid_two_branch(x):
+    pos = x >= 0
+    out = np.empty_like(x)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bits_match_two_branch_formula(dtype):
+    special = [800.0, -800.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    noise = np.random.default_rng(3).normal(scale=20.0, size=(2, 3, 17, 19))
+    for x in (np.array(special, dtype=dtype), noise.astype(dtype)):
+        got, _ = ops.sigmoid_forward(x)
+        want = _sigmoid_two_branch(x)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        nan = np.isnan(want)
+        npt.assert_array_equal(np.isnan(got), nan)
+        # The sign bit of a NaN result is not pinned; every other bit is.
+        uint = np.uint32 if x.dtype == np.float32 else np.uint64
+        npt.assert_array_equal(got[~nan].view(uint), want[~nan].view(uint))
 
 
 def test_maxpool_values():
