@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from .exceptions import ConfigError, FileFormatError
-from .fileio import tensor_from_bytes, tensor_record_size, tensor_to_bytes
+from .fileio import read_text, tensor_from_bytes, tensor_record_size, tensor_to_bytes
 from .unet import AttentionUNet, AttentionUNetConfig, parameter_shapes
 
 MANIFEST_MAGIC = "quanvseg-checkpoint 1"
@@ -78,12 +78,12 @@ def load_checkpoint(prefix):
     the quanv.* settings plus "circuit": the serialized circuit text.
     """
     prefix = str(prefix)
-    with open(prefix + ".manifest", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = read_text(prefix + ".manifest").split("\n")
     if not lines or lines[0] != MANIFEST_MAGIC:
         raise FileFormatError(f"not a checkpoint manifest: {prefix}.manifest")
     header: dict[str, tuple[str, str]] = {}  # key -> (value, "<file> line <n>")
     tensor_lines = []
+    tensor_names: set[str] = set()
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
@@ -97,8 +97,13 @@ def load_checkpoint(prefix):
             offset = _int(offset_text, where)
             if offset < 0:
                 raise FileFormatError(f"{where}: negative tensor offset {offset}")
+            if name in tensor_names:
+                raise FileFormatError(f"{where}: repeated tensor {name!r}")
+            tensor_names.add(name)
             tensor_lines.append((kind, name, shape, offset))
         elif len(fields) == 2:
+            if fields[0] in header:
+                raise FileFormatError(f"{where}: repeated header {fields[0]!r}")
             header[fields[0]] = (fields[1], where)
         else:
             raise FileFormatError(f"bad manifest line: {ln!r}")
@@ -166,7 +171,6 @@ def load_checkpoint(prefix):
         for key in ("quanv.kernel", "quanv.stride", "quanv.rescale"):
             header_int(key)  # extras stay text; a bad field is reported with its line here
         circuit_path = os.path.join(os.path.dirname(prefix) or ".", header["circuit"][0])
-        with open(circuit_path, encoding="ascii") as fh:
-            extras["circuit"] = fh.read()
+        extras["circuit"] = read_text(circuit_path)
     model = AttentionUNet(config, params, stats, dtype=dtype)
     return model, extras

@@ -27,7 +27,7 @@ from .datapipe import (
     synth_scene,
 )
 from .exceptions import ConfigError, FileFormatError, QuanvsegError, ShapeError
-from .fileio import read_pgm, read_tensor, write_pgm, write_tensor
+from .fileio import read_pgm, read_tensor, read_text, write_pgm, write_tensor
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
 from .quanvolution import PADDINGS, QuanvConfig, quanvolve
 from .training import TrainConfig, evaluate, predict_masks, train
@@ -133,15 +133,18 @@ def load_config(path=None, overrides=()):
     """Defaults, then the config file, then --set overrides, in order."""
     pairs = []
     if path is not None:
-        with open(path, encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-                key, text = line.split("=", 1)
-                pairs.append((key.strip(), text.strip()))
+        try:
+            raw_lines = read_text(path).split("\n")
+        except FileFormatError as exc:
+            raise ConfigError(str(exc)) from None
+        for lineno, raw in enumerate(raw_lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+            key, text = line.split("=", 1)
+            pairs.append((key.strip(), text.strip()))
     for raw in overrides:
         if "=" not in raw:
             raise ConfigError(f"--set needs KEY=VALUE, got {raw!r}")
@@ -157,8 +160,7 @@ def load_config(path=None, overrides=()):
 
 def _circuit_from(cfg, circuit_in=None):
     if circuit_in is not None:
-        with open(circuit_in, encoding="ascii") as fh:
-            return parse_circuit(fh.read())
+        return parse_circuit(read_text(circuit_in))
     return build_circuit(cfg["circuit.template"], cfg["circuit.qubits"],
                          cfg["circuit.layers"], cfg["circuit.seed"])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DataError, FileFormatError, ShapeError, SizeError
-from .fileio import read_tensor, write_tensor
+from .fileio import read_tensor, read_text, write_tensor
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def save_patch_dir(outdir, train: PatchSet, test: PatchSet):
 def load_patch_dir(path) -> tuple[PatchSet, PatchSet]:
     """Read a directory written by save_patch_dir; returns (train, test)."""
     index = os.path.join(path, "index.txt")
-    with open(index, encoding="ascii") as fh:
-        lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [(lineno, ln.split())
+             for lineno, ln in enumerate(read_text(index).split("\n"), start=1) if ln.strip()]
     buckets: dict[str, list[PatchItem]] = {"train": [], "test": []}
     for lineno, fields in lines:
         if len(fields) != 4 or fields[1] not in buckets:

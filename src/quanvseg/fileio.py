@@ -1,4 +1,4 @@
-"""Binary file formats: QVT1 tensors and binary (P5) PGM rasters.
+"""File formats: QVT1 tensors, binary (P5) PGM rasters, and ASCII text.
 
 QVT1 layout, all multi-byte integers little-endian:
 
@@ -88,6 +88,23 @@ def write_tensor(path, array: np.ndarray):
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return tensor_from_bytes(fh.read())
+
+
+def read_text(path) -> str:
+    """Read an ASCII text file with universal newlines, like open(path).read().
+
+    A non-ASCII byte raises FileFormatError naming the file and the byte's
+    offset, not a UnicodeDecodeError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: non-ASCII byte 0x{raw[exc.start]:02x}", offset=exc.start
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255):

@@ -4,6 +4,8 @@ A model is a flat dict of named parameter arrays plus a parallel dict of
 batch-norm running statistics.  forward returns (output, caches);
 backward(caches, gy) returns (grads, gx) with gradient names matching
 parameter names, which keeps the optimizer and checkpoint code trivial.
+parameter_shapes is the single description of the topology: build_model,
+count_params, init_gate_params and the checkpoint loader all walk it.
 
 The attention gate rescales each skip connection: the upsampled decoder
 features g and the skip features x_i are both projected by 1x1 convs to
@@ -76,10 +78,44 @@ QUANTUM_REFERENCE_CONFIG = AttentionUNetConfig(
 )
 
 
-def _he(rng, shape, dtype, fan_in=None):
-    if fan_in is None:
-        fan_in = int(np.prod(shape[1:]))
-    return rng.normal(0.0, math.sqrt(2.0 / fan_in), shape).astype(dtype)
+def _conv_shapes(name, c_in, c_out, k):
+    yield "param", f"{name}.w", (c_out, c_in, k, k)
+    yield "param", f"{name}.b", (c_out,)
+
+
+def _bn_shapes(name, c):
+    yield "param", f"{name}.gamma", (c,)
+    yield "param", f"{name}.beta", (c,)
+    yield "stat", f"{name}.mean", (c,)
+    yield "stat", f"{name}.var", (c,)
+
+
+def _gate_shapes(c_g, c_x, width, prefix=""):
+    yield from _conv_shapes(f"{prefix}wg", c_g, width, 1)
+    yield from _conv_shapes(f"{prefix}wx", c_x, width, 1)
+    yield from _bn_shapes(f"{prefix}bn", width)
+    yield from _conv_shapes(f"{prefix}wr", width, 1, 1)
+
+
+def _allocate(table, rng, dtype):
+    """Initialise a parameter_shapes table in order; returns (params, stats).
+
+    Kernels (.w) are He-normal over their fan-in, which for the 2x2
+    transposed upsampling kernel (c_in, c_out, 2, 2) is c_in; batch-norm
+    scales and running variances start at one, everything else at zero.
+    """
+    params: dict[str, np.ndarray] = {}
+    stats: dict[str, np.ndarray] = {}
+    for kind, name, shape in table:
+        if name.endswith(".w"):
+            fan_in = shape[0] if name.endswith(".up.w") else math.prod(shape[1:])
+            value = rng.normal(0.0, math.sqrt(2.0 / fan_in), shape).astype(dtype)
+        elif name.endswith((".gamma", ".var")):
+            value = np.ones(shape, dtype=dtype)
+        else:
+            value = np.zeros(shape, dtype=dtype)
+        (params if kind == "param" else stats)[name] = value
+    return params, stats
 
 
 def _group(named: dict, prefix: str) -> dict:
@@ -93,21 +129,7 @@ def init_gate_params(c_g: int, c_x: int, width: int, rng, dtype=np.float32):
     Keys: wg.w/wg.b project g, wx.w/wx.b project x_i, bn.gamma/bn.beta
     normalize the activated sum, wr.w/wr.b map it to one channel.
     """
-    params = {
-        "wg.w": _he(rng, (width, c_g, 1, 1), dtype),
-        "wg.b": np.zeros(width, dtype=dtype),
-        "wx.w": _he(rng, (width, c_x, 1, 1), dtype),
-        "wx.b": np.zeros(width, dtype=dtype),
-        "bn.gamma": np.ones(width, dtype=dtype),
-        "bn.beta": np.zeros(width, dtype=dtype),
-        "wr.w": _he(rng, (1, width, 1, 1), dtype),
-        "wr.b": np.zeros(1, dtype=dtype),
-    }
-    stats = {
-        "bn.mean": np.zeros(width, dtype=dtype),
-        "bn.var": np.ones(width, dtype=dtype),
-    }
-    return params, stats
+    return _allocate(_gate_shapes(c_g, c_x, width), rng, np.dtype(dtype))
 
 
 _GATE_CACHE_KEYS = frozenset(
@@ -186,71 +208,54 @@ class AttentionUNet:
 
     # -- block helpers ------------------------------------------------
 
-    def _dconv_fwd(self, x, prefix, train):
+    def _conv_bn_relu_fwd(self, h, stages, train):
+        """3x3 conv (pad 1) -> batch norm -> ReLU once per (conv, bn) name
+        prefix pair in stages; returns (h, cache).
+
+        Train mode refreshes the running statistics.  h is rebound stage by
+        stage: the conv caches its own padded copy, so each activation is
+        freed as soon as the next conv has read it, which bounds peak memory.
+        """
         p, s = self.params, self.stats
-        cache = {}
-        h = x
-        for leg in ("1", "2"):
-            h, cache[f"conv{leg}"] = ops.conv2d_forward(
-                h, p[f"{prefix}.conv{leg}.w"], p[f"{prefix}.conv{leg}.b"], padding=1
-            )
-            h, new_mean, new_var, cache[f"bn{leg}"] = ops.batchnorm_forward(
-                h, p[f"{prefix}.bn{leg}.gamma"], p[f"{prefix}.bn{leg}.beta"],
-                s[f"{prefix}.bn{leg}.mean"], s[f"{prefix}.bn{leg}.var"], train,
+        cache = []
+        for conv, bn in stages:
+            h, c_conv = ops.conv2d_forward(h, p[f"{conv}.w"], p[f"{conv}.b"], padding=1)
+            h, new_mean, new_var, c_bn = ops.batchnorm_forward(
+                h, p[f"{bn}.gamma"], p[f"{bn}.beta"], s[f"{bn}.mean"], s[f"{bn}.var"], train,
             )
             if train:
-                s[f"{prefix}.bn{leg}.mean"] = new_mean
-                s[f"{prefix}.bn{leg}.var"] = new_var
-            h, cache[f"relu{leg}"] = ops.relu_forward(h)
+                s[f"{bn}.mean"] = new_mean
+                s[f"{bn}.var"] = new_var
+            h, c_relu = ops.relu_forward(h)
+            cache.append((conv, bn, c_conv, c_bn, c_relu))
         return h, cache
 
-    def _dconv_bwd(self, cache, gy, grads, prefix):
-        g = gy
-        for leg in ("2", "1"):
-            g = ops.relu_backward(cache[f"relu{leg}"], g)
-            g, g_gamma, g_beta = ops.batchnorm_backward(cache[f"bn{leg}"], g)
-            grads[f"{prefix}.bn{leg}.gamma"] = g_gamma
-            grads[f"{prefix}.bn{leg}.beta"] = g_beta
-            g, gw, gb = ops.conv2d_backward(cache[f"conv{leg}"], g)
-            grads[f"{prefix}.conv{leg}.w"] = gw
-            grads[f"{prefix}.conv{leg}.b"] = gb
+    def _conv_bn_relu_bwd(self, cache, g, grads):
+        for conv, bn, c_conv, c_bn, c_relu in reversed(cache):
+            g = ops.relu_backward(c_relu, g)
+            g, grads[f"{bn}.gamma"], grads[f"{bn}.beta"] = ops.batchnorm_backward(c_bn, g)
+            g, grads[f"{conv}.w"], grads[f"{conv}.b"] = ops.conv2d_backward(c_conv, g)
         return g
 
+    def _dconv_fwd(self, x, prefix, train):
+        stages = ((f"{prefix}.conv1", f"{prefix}.bn1"), (f"{prefix}.conv2", f"{prefix}.bn2"))
+        return self._conv_bn_relu_fwd(x, stages, train)
+
     def _up_fwd(self, x, prefix, train):
-        p, s = self.params, self.stats
         if self.config.upsample == "transposed":
-            h, c = ops.transposed_conv2x_forward(x, p[f"{prefix}.w"], p[f"{prefix}.b"])
-            return h, ("t", c)
+            return ops.transposed_conv2x_forward(
+                x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
         h, c_up = ops.nearest_upsample2x_forward(x)
-        h, c_conv = ops.conv2d_forward(
-            h, p[f"{prefix}.conv.w"], p[f"{prefix}.conv.b"], padding=1
-        )
-        h, new_mean, new_var, c_bn = ops.batchnorm_forward(
-            h, p[f"{prefix}.bn.gamma"], p[f"{prefix}.bn.beta"],
-            s[f"{prefix}.bn.mean"], s[f"{prefix}.bn.var"], train,
-        )
-        if train:
-            s[f"{prefix}.bn.mean"] = new_mean
-            s[f"{prefix}.bn.var"] = new_var
-        h, c_relu = ops.relu_forward(h)
-        return h, ("n", (c_up, c_conv, c_bn, c_relu))
+        h, c = self._conv_bn_relu_fwd(h, ((f"{prefix}.conv", f"{prefix}.bn"),), train)
+        return h, (c_up, c)
 
     def _up_bwd(self, cache, gy, grads, prefix):
-        kind, c = cache
-        if kind == "t":
-            g, gw, gb = ops.transposed_conv2x_backward(c, gy)
-            grads[f"{prefix}.w"] = gw
-            grads[f"{prefix}.b"] = gb
+        if self.config.upsample == "transposed":
+            g, grads[f"{prefix}.w"], grads[f"{prefix}.b"] = \
+                ops.transposed_conv2x_backward(cache, gy)
             return g
-        c_up, c_conv, c_bn, c_relu = c
-        g = ops.relu_backward(c_relu, gy)
-        g, g_gamma, g_beta = ops.batchnorm_backward(c_bn, g)
-        grads[f"{prefix}.bn.gamma"] = g_gamma
-        grads[f"{prefix}.bn.beta"] = g_beta
-        g, gw, gb = ops.conv2d_backward(c_conv, g)
-        grads[f"{prefix}.conv.w"] = gw
-        grads[f"{prefix}.conv.b"] = gb
-        return ops.nearest_upsample2x_backward(c_up, g)
+        c_up, c = cache
+        return ops.nearest_upsample2x_backward(c_up, self._conv_bn_relu_bwd(c, gy, grads))
 
     # -- full passes --------------------------------------------------
 
@@ -308,7 +313,7 @@ class AttentionUNet:
         grads["head.b"] = gb
         skip_grads = [None] * (cfg.depth - 1)
         for i in range(cfg.depth - 1):
-            g = self._dconv_bwd(caches[f"dec{i}"], g, grads, f"dec{i}")
+            g = self._conv_bn_relu_bwd(caches[f"dec{i}"], g, grads)
             g_gated, g_up = ops.concat_channels_backward(caches[f"dec{i}.cat"], g)
             g_dec, g_skip, gate_grads = attention_gate_backward(
                 caches[f"dec{i}.gate"], g_gated
@@ -317,80 +322,25 @@ class AttentionUNet:
                 grads[f"dec{i}.gate.{k}"] = v
             skip_grads[i] = g_skip
             g = self._up_bwd(caches[f"dec{i}.up"], g_up + g_dec, grads, f"dec{i}.up")
-        g = self._dconv_bwd(caches["bottleneck"], g, grads, "bottleneck")
+        g = self._conv_bn_relu_bwd(caches["bottleneck"], g, grads)
         for i in range(cfg.depth - 2, -1, -1):
             g = ops.maxpool2x2_backward(caches[f"pool{i}"], g)
             g = g + skip_grads[i]
-            g = self._dconv_bwd(caches[f"enc{i}"], g, grads, f"enc{i}")
+            g = self._conv_bn_relu_bwd(caches[f"enc{i}"], g, grads)
         return grads, g
 
 
-def build_model(config: AttentionUNetConfig, seed: int = 0,
-                dtype=np.float32) -> AttentionUNet:
-    """Allocate and He-initialize all parameters in a fixed order."""
-    rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    params: dict[str, np.ndarray] = {}
-    stats: dict[str, np.ndarray] = {}
-
-    def conv(name, c_in, c_out, k):
-        params[f"{name}.w"] = _he(rng, (c_out, c_in, k, k), dtype)
-        params[f"{name}.b"] = np.zeros(c_out, dtype=dtype)
-
-    def bn(name, c):
-        params[f"{name}.gamma"] = np.ones(c, dtype=dtype)
-        params[f"{name}.beta"] = np.zeros(c, dtype=dtype)
-        stats[f"{name}.mean"] = np.zeros(c, dtype=dtype)
-        stats[f"{name}.var"] = np.ones(c, dtype=dtype)
-
-    def dconv(prefix, c_in, c_out):
-        conv(f"{prefix}.conv1", c_in, c_out, 3)
-        bn(f"{prefix}.bn1", c_out)
-        conv(f"{prefix}.conv2", c_out, c_out, 3)
-        bn(f"{prefix}.bn2", c_out)
-
-    w = config.widths
-    gate_w = config.resolved_gate_widths()
-    prev = config.in_channels
-    for i in range(config.depth - 1):
-        dconv(f"enc{i}", prev, w[i])
-        prev = w[i]
-    dconv("bottleneck", w[config.depth - 2], w[config.depth - 1])
-    for i in range(config.depth - 2, -1, -1):
-        if config.upsample == "transposed":
-            params[f"dec{i}.up.w"] = _he(rng, (w[i + 1], w[i], 2, 2), dtype,
-                                         fan_in=w[i + 1])
-            params[f"dec{i}.up.b"] = np.zeros(w[i], dtype=dtype)
-        else:
-            conv(f"dec{i}.up.conv", w[i + 1], w[i], 3)
-            bn(f"dec{i}.up.bn", w[i])
-        gate_params, gate_stats = init_gate_params(w[i], w[i], gate_w[i], rng, dtype)
-        for k, v in gate_params.items():
-            params[f"dec{i}.gate.{k}"] = v
-        for k, v in gate_stats.items():
-            stats[f"dec{i}.gate.{k}"] = v
-        dconv(f"dec{i}", 2 * w[i], w[i])
-    conv("head", w[0], 1, 1)
-    return AttentionUNet(config, params, stats, dtype=dtype)
-
-
 def parameter_shapes(config: AttentionUNetConfig):
-    """Yield ("param"|"stat", name, shape) in build_model's exact order."""
-    def conv(name, c_in, c_out, k):
-        yield "param", f"{name}.w", (c_out, c_in, k, k)
-        yield "param", f"{name}.b", (c_out,)
+    """Yield ("param"|"stat", name, shape) for every tensor, in build order.
 
-    def bn(name, c):
-        yield "param", f"{name}.gamma", (c,)
-        yield "param", f"{name}.beta", (c,)
-        yield "stat", f"{name}.mean", (c,)
-        yield "stat", f"{name}.var", (c,)
-
+    The one description of the topology: build_model allocates from it,
+    count_params sums it, and load_checkpoint checks a manifest against it.
+    """
     def dconv(prefix, c_in, c_out):
-        yield from conv(f"{prefix}.conv1", c_in, c_out, 3)
-        yield from bn(f"{prefix}.bn1", c_out)
-        yield from conv(f"{prefix}.conv2", c_out, c_out, 3)
-        yield from bn(f"{prefix}.bn2", c_out)
+        yield from _conv_shapes(f"{prefix}.conv1", c_in, c_out, 3)
+        yield from _bn_shapes(f"{prefix}.bn1", c_out)
+        yield from _conv_shapes(f"{prefix}.conv2", c_out, c_out, 3)
+        yield from _bn_shapes(f"{prefix}.bn2", c_out)
 
     w = config.widths
     gate_w = config.resolved_gate_widths()
@@ -404,55 +354,29 @@ def parameter_shapes(config: AttentionUNetConfig):
             yield "param", f"dec{i}.up.w", (w[i + 1], w[i], 2, 2)
             yield "param", f"dec{i}.up.b", (w[i],)
         else:
-            yield from conv(f"dec{i}.up.conv", w[i + 1], w[i], 3)
-            yield from bn(f"dec{i}.up.bn", w[i])
-        f = gate_w[i]
-        yield "param", f"dec{i}.gate.wg.w", (f, w[i], 1, 1)
-        yield "param", f"dec{i}.gate.wg.b", (f,)
-        yield "param", f"dec{i}.gate.wx.w", (f, w[i], 1, 1)
-        yield "param", f"dec{i}.gate.wx.b", (f,)
-        yield "param", f"dec{i}.gate.bn.gamma", (f,)
-        yield "param", f"dec{i}.gate.bn.beta", (f,)
-        yield "stat", f"dec{i}.gate.bn.mean", (f,)
-        yield "stat", f"dec{i}.gate.bn.var", (f,)
-        yield "param", f"dec{i}.gate.wr.w", (1, f, 1, 1)
-        yield "param", f"dec{i}.gate.wr.b", (1,)
+            yield from _conv_shapes(f"dec{i}.up.conv", w[i + 1], w[i], 3)
+            yield from _bn_shapes(f"dec{i}.up.bn", w[i])
+        yield from _gate_shapes(w[i], w[i], gate_w[i], prefix=f"dec{i}.gate.")
         yield from dconv(f"dec{i}", 2 * w[i], w[i])
-    yield from conv("head", w[0], 1, 1)
+    yield from _conv_shapes("head", w[0], 1, 1)
+
+
+def build_model(config: AttentionUNetConfig, seed: int = 0,
+                dtype=np.float32) -> AttentionUNet:
+    """Allocate and He-initialize every parameter_shapes entry, in order."""
+    dtype = np.dtype(dtype)
+    params, stats = _allocate(parameter_shapes(config), np.random.default_rng(seed), dtype)
+    return AttentionUNet(config, params, stats, dtype=dtype)
 
 
 def count_params(config: AttentionUNetConfig) -> int:
     """Trainable parameter total from the config alone (no allocation).
 
-    Counts conv kernels, biases, and batch-norm scale/shift; running
-    statistics are excluded.  Matches AttentionUNet.n_params exactly.
+    Sums the "param" entries of parameter_shapes; running statistics are
+    excluded.  Matches AttentionUNet.n_params exactly.
     """
-    w = config.widths
-    gate_w = config.resolved_gate_widths()
-
-    def dconv(c_in, c_out):
-        return (c_out * c_in * 9 + c_out) + 2 * c_out \
-            + (c_out * c_out * 9 + c_out) + 2 * c_out
-
-    total = 0
-    prev = config.in_channels
-    for i in range(config.depth - 1):
-        total += dconv(prev, w[i])
-        prev = w[i]
-    total += dconv(w[config.depth - 2], w[config.depth - 1])
-    for i in range(config.depth - 2, -1, -1):
-        c_in, c_out = w[i + 1], w[i]
-        if config.upsample == "transposed":
-            total += c_in * c_out * 4 + c_out
-        else:
-            total += c_out * c_in * 9 + c_out + 2 * c_out
-        f = gate_w[i]
-        total += (f * c_out + f) * 2  # both 1x1 projections
-        total += 2 * f                # gate batch-norm scale/shift
-        total += f + 1                # 1x1 map down to one channel
-        total += dconv(2 * c_out, c_out)
-    total += w[0] + 1  # head
-    return total
+    return sum(math.prod(shape) for kind, _, shape in parameter_shapes(config)
+               if kind == "param")
 
 
 # ---------------------------------------------------------------------

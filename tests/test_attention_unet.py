@@ -1,5 +1,7 @@
 """Attention gate traces, model assembly, training, and checkpoints."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,12 +229,20 @@ def test_depth2_count_matches_hand_sum():
     assert count_params(cfg) == 204 + 912 + 132 + 27 + 456 + 5
 
 
+def test_depth2_nearest_count_matches_hand_sum():
+    # as above, but the upsampling is nearest x2 then conv3x3 + batch norm:
+    #   up    : 8*4*9+4 + 8                           = 300
+    cfg = AttentionUNetConfig(depth=2, widths=(4, 8), upsample="nearest")
+    assert count_params(cfg) == 204 + 912 + 300 + 27 + 456 + 5
+
+
 def test_reference_configs_hit_target_budgets():
     baseline = count_params(BASELINE_REFERENCE_CONFIG)
     quantum = count_params(QUANTUM_REFERENCE_CONFIG)
     assert baseline == enumerated_param_total(BASELINE_REFERENCE_CONFIG)
     assert quantum == enumerated_param_total(QUANTUM_REFERENCE_CONFIG)
     assert baseline == 34_876_453
+    assert quantum == 2_185_357
     assert abs(baseline - 34.8e6) / 34.8e6 <= 0.05
     assert quantum / baseline <= 0.07
 
@@ -245,6 +255,34 @@ def test_build_model_is_seeded():
     for k in a.params:
         npt.assert_array_equal(a.params[k], b.params[k])
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
+
+
+# sha256 over (name, raw bytes) of build_model(cfg, seed=3) params then
+# stats, in dict order.  Recorded from the hand-written builder that
+# parameter_shapes replaced, so allocation order, fan-in and initial values
+# are pinned bit for bit; the digests follow numpy's Generator.normal stream.
+INIT_DIGESTS = {
+    "transposed": (AttentionUNetConfig(),
+                   "c1fc5c32cba027e6326e1345211522c59e2f23da805ef3ab965e7e5b55d2ec4d"),
+    "nearest": (AttentionUNetConfig(upsample="nearest"),
+                "220c3afc6b99dca2ebca216eceb415777c3cff2a26211c073e7c46dbde81b892"),
+    "nine-channel": (AttentionUNetConfig(in_channels=9),
+                     "bff22cc517c2d008425b034477db71bf1e82eb5fad6d3ef3968cac861614a62b"),
+    "gate-widths": (AttentionUNetConfig(gate_widths=(3, 5)),
+                    "f511df9f14f20bfd08f5509f9788dfa82509ed60cc4f3ebe7be24da2c33f06cf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT_DIGESTS))
+def test_build_model_initialisation_is_pinned(name):
+    cfg, expected = INIT_DIGESTS[name]
+    model = build_model(cfg, seed=3)
+    digest = hashlib.sha256()
+    for table in (model.params, model.stats):
+        for key, arr in table.items():
+            digest.update(key.encode("ascii") + b"\0")
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == expected
 
 
 def test_parameter_shapes_align_with_built_model():

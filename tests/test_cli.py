@@ -3,6 +3,7 @@
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -103,7 +104,7 @@ def test_make_patches_layout(workdir):
     assert "index.txt" in names
     # 4x4 grid of 16-pixel patches, default test fraction 0.2 -> 4 test
     index = [ln.split() for ln in
-             open(os.path.join(workdir["patches"], "index.txt"))]
+             Path(workdir["patches"], "index.txt").read_text().splitlines()]
     labels = [fields[1] for fields in index]
     assert len(index) == 16
     assert labels.count("test") == 4 and labels.count("train") == 12
@@ -181,7 +182,7 @@ def trained(workdir):
 def test_train_writes_checkpoint_and_log(trained, workdir):
     assert os.path.exists(trained["prefix"] + ".manifest")
     assert os.path.exists(trained["prefix"] + ".tensors")
-    lines = open(trained["log"]).read().splitlines()
+    lines = Path(trained["log"]).read_text().splitlines()
     assert lines[0] == "epoch\tloss\ttrain_oa"
     assert len(lines) == 3  # header + two epochs
     for line in lines[1:]:
@@ -309,6 +310,9 @@ MANIFEST_DEFECTS = {
     "widths": (r"^widths 4,8$", "widths 4,x", "line 4"),
     "gate_widths": (r"^gate_widths 2$", "gate_widths 2,", "line 5"),
     "dtype": (r"^dtype float32$", "dtype floaty", "floaty"),
+    "repeated-tensor": (r"^(param enc0\.conv1\.b .*)$", r"\1\n\1",
+                        "line 10: repeated tensor 'enc0.conv1.b'"),
+    "repeated-header": (r"^(depth 2)$", r"\1\n\1", "line 4: repeated header 'depth'"),
 }
 
 
@@ -317,7 +321,7 @@ def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     pattern, replacement, message = MANIFEST_DEFECTS[defect]
     prefix = str(tmp_path / "ckpt")
     save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
-    text = open(prefix + ".manifest").read()
+    text = Path(prefix + ".manifest").read_text()
     broken, count = re.subn(pattern, replacement, text, count=1, flags=re.M)
     assert count == 1
     with open(prefix + ".manifest", "w") as fh:
@@ -328,16 +332,20 @@ def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
-                                           ("quanv.kernel 0", "kernel_size must be >= 1")])
-def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, message):
+def quanv_checkpoint(prefix):
     spec = build_circuit("basic_entangled", 4, 1, seed=2)
     qcfg = QuanvConfig(circuit=spec, kernel_size=2, stride=1,
                        padding="same-reflect", rescale=True)
     model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=4))
-    prefix = str(tmp_path / "qckpt")
     save_checkpoint(prefix, model, quanv_config=qcfg, circuit_text=serialize_circuit(spec))
-    text = open(prefix + ".manifest").read()
+
+
+@pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
+                                           ("quanv.kernel 0", "kernel_size must be >= 1")])
+def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, message):
+    prefix = str(tmp_path / "qckpt")
+    quanv_checkpoint(prefix)
+    text = Path(prefix + ".manifest").read_text()
     assert "\nquanv.kernel 2\n" in text
     with open(prefix + ".manifest", "w") as fh:
         fh.write(text.replace("\nquanv.kernel 2\n", f"\n{line}\n"))
@@ -345,6 +353,67 @@ def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, messag
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# ---------------------------------------------------------------------
+# Non-ASCII bytes in a text input: a located error, never a traceback
+
+
+def insert_non_ascii(path):
+    """Put a UTF-8 'ä' at the start of the file's second line; returns its offset."""
+    data = Path(path).read_bytes()
+    at = data.index(b"\n") + 1
+    Path(path).write_bytes(data[:at] + "ä".encode() + data[at:])
+    return at
+
+
+def assert_located_error(capsys, code, expected_code, path, at):
+    assert code == expected_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"offset {at}" in err and str(path) in err
+
+
+def test_non_ascii_index_exits_1(workdir, tmp_path, capsys):
+    patches = tmp_path / "patches"
+    shutil.copytree(workdir["patches"], patches)
+    at = insert_non_ascii(patches / "index.txt")
+    code = main(["train", "--patches", str(patches),
+                 "--checkpoint-out", str(tmp_path / "model")] + FAST_MODEL + FAST_TRAIN)
+    assert_located_error(capsys, code, 1, patches / "index.txt", at)
+
+
+def test_non_ascii_manifest_exits_1(workdir, tmp_path, capsys):
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    at = insert_non_ascii(prefix + ".manifest")
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert_located_error(capsys, code, 1, prefix + ".manifest", at)
+
+
+def test_non_ascii_checkpoint_circuit_exits_1(workdir, tmp_path, capsys):
+    prefix = str(tmp_path / "qckpt")
+    quanv_checkpoint(prefix)
+    at = insert_non_ascii(prefix + ".circuit")
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert_located_error(capsys, code, 1, prefix + ".circuit", at)
+
+
+def test_non_ascii_circuit_in_exits_1(workdir, tmp_path, capsys):
+    circuit = tmp_path / "frozen.circuit"
+    circuit.write_text(serialize_circuit(build_circuit("basic_entangled", 4, 1, seed=2)))
+    at = insert_non_ascii(circuit)
+    code = main(["quanvolve", "--input", workdir["scene"],
+                 "--output", str(tmp_path / "o.qvt1"), "--circuit-in", str(circuit)])
+    assert_located_error(capsys, code, 1, circuit, at)
+
+
+def test_non_ascii_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("model.depth = 2\nmodel.widths = 4,8\n")
+    at = insert_non_ascii(config)
+    code = main(["param-count", "--config", str(config)])
+    assert_located_error(capsys, code, 2, config, at)
 
 
 # ---------------------------------------------------------------------
@@ -360,7 +429,7 @@ def test_train_quanvolve_round_trip(workdir, capsys):
                 + FAST_MODEL + FAST_TRAIN + fast_circuit)
     assert code == 0
     capsys.readouterr()
-    manifest = open(prefix + ".manifest").read()
+    manifest = Path(prefix + ".manifest").read_text()
     assert "in_channels 4" in manifest
     assert "quanv.kernel 2" in manifest
     assert "circuit qmodel.circuit" in manifest

@@ -25,6 +25,7 @@ from quanvseg.exceptions import (
 from quanvseg.fileio import (
     read_pgm,
     read_tensor,
+    read_text,
     tensor_from_bytes,
     tensor_to_bytes,
     write_pgm,
@@ -445,3 +446,14 @@ def test_pgm_write_rejects_non_finite(tmp_path, bad):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", values)
     assert not (tmp_path / "x.pgm").exists()
+
+
+def test_read_text_matches_text_mode_and_locates_non_ascii(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a\r\nb\rc\n")
+    with open(path, encoding="ascii") as fh:
+        assert read_text(path) == fh.read() == "a\nb\nc\n"
+    path.write_bytes(b"ab\n\xff")
+    with pytest.raises(FileFormatError) as info:
+        read_text(path)
+    assert info.value.offset == 3 and str(path) in str(info.value)
