@@ -1,26 +1,31 @@
 """Circuit evaluation on angle-encoded windows.
 
-`run_windows(enc, spec)` maps encoded windows (N, n_qubits) to their Z
-expectations under the frozen circuit `spec`, by one of two plans chosen
-from the qubit count:
+`run_windows(enc, spec)` maps encoded windows (N, m) to their Z
+expectations (N, n) under the frozen n-qubit circuit `spec`.  Column j of
+`enc` is the RY angle of qubit j; the other n - m qubits start in |0>, so
+every window lies in the span of the 2**m basis states whose last n - m
+bits are 0.  One of two plans is chosen from (m, n):
 
-* dense (at most DENSE_MAX_QUBITS qubits): the circuit is frozen, so its
-  transfer matrix is built once per CircuitSpec and cached; each window
-  is then a real product state, and its Z expectations are
-  |psi U^T|^2 @ S for the +-1 sign table S, a few GEMMs per chunk.
+* dense (2**(m + n) <= DENSE_MAX_AMPLITUDES): the circuit is frozen, so
+  the 2**m x 2**n block V of its transfer matrix U^T that encoded windows
+  reach is built once per (CircuitSpec, m) and cached; each window is a
+  real product state over m qubits, and its Z expectations are
+  |psi V|^2 @ S for the +-1 sign table S, a few GEMMs per chunk.
 * statevector (above that): every window is simulated gate by gate on a
-  batch of state vectors, with chunks spread over QUANVSEG_THREADS
-  threads.
+  batch of 2**n-amplitude state vectors, with chunks spread over
+  QUANVSEG_THREADS threads.
 
-The dense plan costs a 2**n x 2**n GEMM per window (4**n) plus one
-compile per process, which simulates 2**n windows gate by gate; the
-statevector plan costs about gates x 2**n per window.  On 2 cores with
-4096 windows of a 2-layer circuit, the dense plan ran 12-27k windows/s
-against 2-3k at 10 qubits, after a 0.3-0.5 s compile.  At 11 qubits it
-still ran 4.5-9.5k against 0.7-1k windows/s, but the compile took 3-4 s,
-so it pays off only past about 3k windows per process; at 12 qubits the
-compile took about 20 s, more than a 64x64 scene takes on the
-statevector plan.  The cutoff of 10 keeps the compile under a second.
+The dense plan costs a 2**m x 2**n GEMM per window plus one compile per
+process, which simulates 2**m basis rows gate by gate; the statevector
+plan costs about gates x 2**n per window.  The cap of 2**22 amplitudes
+lets 3x3 windows (m = 9) run dense up to n = 13 and full-width encodings
+(m = n) up to n = 11.  On 2 cores, for a 64x64 scene (4096 windows) of a
+2-layer strongly_entangled circuit with m = 9, the statevector plan took
+3.9 s at n = 11 and 8.1 s at n = 12 (678 MB peak).  The dense plan
+compiled in 0.35-0.65 s and evaluated in 0.12-0.24 s at n = 11; at
+n = 12 it took 0.75-1.8 s plus 0.23-0.52 s (229 MB peak), and at n = 13
+1.9-4.7 s plus 0.5-0.9 s (389 MB).  At n = 14 the compile alone took
+5.6 s and the peak reached 710 MB, so the cap stops at 13.
 
 quanvolve reaches run_windows through kernel() on every call, so a
 wrapper installed on kernel (perfbench/tracing.py times run_windows that
@@ -40,8 +45,8 @@ from .exceptions import ConfigError
 from .qsim.circuits import CircuitSpec
 from .qsim.state import apply_gates_batch, rotate_batch
 
-# Largest register evaluated through a cached dense transfer matrix.
-DENSE_MAX_QUBITS = 10
+# Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles.
+DENSE_MAX_AMPLITUDES = 1 << 22
 
 # Windows are evaluated in fixed-size chunks, so memory stays bounded and
 # results do not depend on the thread count (each chunk writes a disjoint
@@ -63,9 +68,9 @@ def n_threads() -> int:
     return value
 
 
-def plan_name(n_qubits: int) -> str:
-    """The window-evaluation plan used for a register: dense or statevector."""
-    return "dense" if n_qubits <= DENSE_MAX_QUBITS else "statevector"
+def plan_name(n_encoded: int, n_qubits: int) -> str:
+    """The plan for m = n_encoded encoded qubits of an n-qubit register."""
+    return "dense" if 1 << (n_encoded + n_qubits) <= DENSE_MAX_AMPLITUDES else "statevector"
 
 
 def _chunks(n_windows):
@@ -73,15 +78,18 @@ def _chunks(n_windows):
 
 
 @functools.lru_cache(maxsize=8)
-def _transfer_matrix(spec: CircuitSpec):
-    """(Re, Im or None, S) of the frozen circuit, shared read-only.
+def _transfer_matrix(spec: CircuitSpec, n_encoded: int):
+    """(Re, Im or None, S) of the frozen circuit on its first m qubits, read-only.
 
-    Row i of the batch run on the identity is U e_i, so the result is U^T.
-    Im is None when it is exactly zero (circuits of RY and CNOT only).
-    S[j, q] is +1 where qubit q of basis state j is 0, else -1.
+    Row j of the batch is U applied to basis state j << (n - m), the state
+    whose first m qubits spell j and whose others are 0, so the result is
+    the 2**m x 2**n block of U^T that encoded windows reach (all of U^T
+    when m = n).  Im is None when it is exactly zero (circuits of RY and
+    CNOT only).  S[i, q] is +1 where qubit q of basis state i is 0, else -1.
     """
-    n = spec.n_qubits
-    rows = np.eye(1 << n, dtype=np.complex128)
+    n, m = spec.n_qubits, n_encoded
+    rows = np.zeros((1 << m, 1 << n), dtype=np.complex128)
+    rows[np.arange(1 << m), np.arange(1 << m) << (n - m)] = 1.0
     apply_gates_batch(rows, spec.gates)
     re = np.ascontiguousarray(rows.real)
     im = np.ascontiguousarray(rows.imag) if rows.imag.any() else None
@@ -94,36 +102,40 @@ def _transfer_matrix(spec: CircuitSpec):
 
 
 def _dense_windows(enc, spec):
-    """Z expectations of encoded windows (N, n_qubits) via the transfer matrix."""
-    re, im, signs = _transfer_matrix(spec)
-    out = np.empty_like(enc)
-    for lo, hi in _chunks(enc.shape[0]):
+    """Z expectations (N, n) of windows encoded on m qubits (N, m), via V."""
+    n_windows, m = enc.shape
+    re, im, signs = _transfer_matrix(spec, m)
+    out = np.empty((n_windows, spec.n_qubits))
+    # One (chunk, 2**n) buffer per GEMM, reused by every chunk.
+    buffers = np.empty((1 if im is None else 2, min(n_windows, _CHUNK), re.shape[1]))
+    for lo, hi in _chunks(n_windows):
         half = 0.5 * enc[lo:hi]
         cos, sin = np.cos(half), np.sin(half)
         # Real product state, qubit 0 as the most significant factor.
         psi = np.ones((hi - lo, 1))
-        for q in range(spec.n_qubits):
+        for q in range(m):
             psi = np.stack((psi * cos[:, q:q + 1], psi * sin[:, q:q + 1]), axis=2)
             psi = psi.reshape(hi - lo, -1)
-        amp = psi @ re
-        probs = amp * amp
+        probs = np.matmul(psi, re, out=buffers[0, :hi - lo])
+        np.square(probs, out=probs)
         if im is not None:
-            amp = psi @ im
-            probs += amp * amp
+            amp = np.matmul(psi, im, out=buffers[1, :hi - lo])
+            probs += np.square(amp, out=amp)
         np.matmul(probs, signs, out=out[lo:hi])
     return out
 
 
 def _statevector_windows(enc, spec):
-    """Z expectations of encoded windows (N, n_qubits), simulated gate by gate."""
+    """Z expectations (N, n) of windows encoded on m qubits (N, m), gate by gate."""
+    n_windows, m = enc.shape
     n = spec.n_qubits
-    out = np.empty_like(enc)
+    out = np.empty((n_windows, n))
 
     def run(lo, hi):
         psi = np.zeros((hi - lo, 1 << n), dtype=np.complex128)
         psi[:, 0] = 1.0
         half = 0.5 * enc[lo:hi]
-        for q in range(n):
+        for q in range(m):
             rotate_batch(psi, "RY", q, np.cos(half[:, q]), np.sin(half[:, q]))
         apply_gates_batch(psi, spec.gates)
         probs = psi.real**2 + psi.imag**2
@@ -131,7 +143,7 @@ def _statevector_windows(enc, spec):
             v = probs.reshape(hi - lo, 1 << q, 2, -1)
             out[lo:hi, q] = v[:, :, 0, :].sum(axis=(1, 2)) - v[:, :, 1, :].sum(axis=(1, 2))
 
-    bounds = _chunks(enc.shape[0])
+    bounds = _chunks(n_windows)
     workers = n_threads()
     if workers == 1 or len(bounds) == 1:
         for lo, hi in bounds:
@@ -147,8 +159,8 @@ _PLANS = {"dense": _dense_windows, "statevector": _statevector_windows}
 
 
 def run_windows(enc, spec: CircuitSpec):
-    """Z expectations (N, n_qubits) of encoded windows under the plan for spec."""
-    return _PLANS[plan_name(spec.n_qubits)](enc, spec)
+    """Z expectations (N, n_qubits) of windows encoded on their first m qubits (N, m)."""
+    return _PLANS[plan_name(enc.shape[1], spec.n_qubits)](enc, spec)
 
 
 def kernel():

@@ -9,6 +9,8 @@ flags, unknown config keys, missing input files).
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 
@@ -29,6 +31,7 @@ from .datapipe import (
 from .exceptions import ConfigError, FileFormatError, QuanvsegError, ShapeError
 from .fileio import read_pgm, read_tensor, read_text, write_pgm, write_tensor
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
+from .qsim.state import MAX_SIM_QUBITS
 from .quanvolution import PADDINGS, QuanvConfig, quanvolve
 from .training import TrainConfig, evaluate, predict_masks, train
 from .unet import (
@@ -82,27 +85,46 @@ def _as_widths(key, text):
         raise ConfigError(f"{key} must be comma-separated integers, got {text!r}") from None
 
 
+# (test, rule) bounds shared by config keys and command-line flags.  Every
+# comparison with NaN is False, so the float tests reject it.
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_SEED = (lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+_FINITE = (math.isfinite, "finite")
+
+
+def _check(key, value, bound):
+    ok, rule = bound
+    if not ok(value):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    return value
+
+
+def _bounded(convert, bound):
+    return lambda key, text: _check(key, convert(key, text), bound)
+
+
 CONFIG_SCHEMA = {
     "circuit.template": _as_choice(TEMPLATES),
-    "circuit.qubits": _as_int,
-    "circuit.layers": _as_int,
-    "circuit.seed": _as_int,
-    "quanv.kernel": _as_int,
-    "quanv.stride": _as_int,
+    "circuit.qubits": _bounded(_as_int, (lambda v: 1 <= v <= MAX_SIM_QUBITS,
+                                         f"in [1, {MAX_SIM_QUBITS}]")),
+    "circuit.layers": _bounded(_as_int, _AT_LEAST_1),
+    "circuit.seed": _bounded(_as_int, _SEED),
+    "quanv.kernel": _bounded(_as_int, _AT_LEAST_1),
+    "quanv.stride": _bounded(_as_int, _AT_LEAST_1),
     "quanv.padding": _as_choice(PADDINGS),
     "quanv.rescale": _as_bool,
-    "model.depth": _as_int,
-    "model.widths": _as_widths,
-    "model.in_channels": _as_int,
-    "train.lr": _as_float,
-    "train.epochs": _as_int,
-    "train.batch": _as_int,
-    "train.seed": _as_int,
-    "data.patch": _as_int,
-    "data.stride": _as_int,
-    "data.test_fraction": _as_float,
-    "norm.lo_db": _as_float,
-    "norm.hi_db": _as_float,
+    "model.depth": _bounded(_as_int, (lambda v: v >= 2, ">= 2")),
+    "model.widths": _bounded(_as_widths, (lambda v: min(v) >= 1, "all >= 1")),
+    "model.in_channels": _bounded(_as_int, _AT_LEAST_1),
+    "train.lr": _bounded(_as_float, (lambda v: 0.0 < v < math.inf, "a finite number > 0")),
+    "train.epochs": _bounded(_as_int, _AT_LEAST_1),
+    "train.batch": _bounded(_as_int, _AT_LEAST_1),
+    "train.seed": _bounded(_as_int, _SEED),
+    "data.patch": _bounded(_as_int, _AT_LEAST_1),
+    "data.stride": _bounded(_as_int, _AT_LEAST_1),
+    "data.test_fraction": _bounded(_as_float, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "norm.lo_db": _bounded(_as_float, _FINITE),
+    "norm.hi_db": _bounded(_as_float, _FINITE),
 }
 
 DEFAULTS = {
@@ -248,11 +270,13 @@ def cmd_quanvolve(args) -> int:
         with open(args.circuit_out, "w", encoding="ascii") as fh:
             fh.write(serialize_circuit(spec))
     print(f"{args.output}: {stack.channels}x{stack.height}x{stack.width} "
-          f"feature stack ({plan_name(spec.n_qubits)} plan)")
+          f"feature stack ({plan_name(quanv_config.kernel_size ** 2, spec.n_qubits)} plan)")
     return 0
 
 
 def cmd_synth_data(args) -> int:
+    _check("--seed", args.seed, _SEED)
+    _check("--looks", args.looks, (lambda v: v > 0.0, "> 0 (inf disables speckle)"))
     image, mask = synth_scene(args.height, args.width, args.rects, args.seed,
                               looks=args.looks)
     write_pgm(args.scene_out, image, maxval=65535)
@@ -357,6 +381,7 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check("--seed", args.seed, _SEED)
     reports = gradcheck_suite(seed=args.seed)
     for report in reports:
         print(report)
@@ -378,7 +403,9 @@ def _add_config_flags(sub):
                      help="override a single config key (repeatable)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quanvseg",
         description="Quanvolution-assisted attention U-Net segmentation runs.",
@@ -391,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="QVT1 feature stack to write")
     p.add_argument("--circuit-in", help="reuse a serialized circuit file")
     p.add_argument("--circuit-out", help="write the frozen circuit here")
-    p.set_defaults(func=cmd_quanvolve)
 
     p = sub.add_parser("synth-data", help="synthetic speckled scene + mask")
     p.add_argument("--height", type=int, default=256)
@@ -402,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="speckle looks; inf disables speckle")
     p.add_argument("--scene-out", required=True, help="16-bit PGM scene")
     p.add_argument("--mask-out", required=True, help="8-bit PGM mask")
-    p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("make-patches", help="scene/mask -> patch directory")
     _add_config_flags(p)
@@ -411,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--normalize-db", action="store_true",
                    help="treat the scene as dB values and normalize to [0,1]")
-    p.set_defaults(func=cmd_make_patches)
 
     p = sub.add_parser("train", help="fit a model on a patch directory")
     _add_config_flags(p)
@@ -421,38 +445,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quanvolve patches before training")
     p.add_argument("--circuit-in", help="frozen circuit file for --quanvolve")
     p.add_argument("--log-out", help="also write the epoch log here")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="metrics of a checkpoint on a split")
     p.add_argument("--patches", required=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint prefix")
     p.add_argument("--split", choices=("train", "test", "all"), default="test")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="write per-patch predicted masks")
     p.add_argument("--patches", required=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint prefix")
     p.add_argument("--outdir", required=True)
     p.add_argument("--split", choices=("train", "test", "all"), default="test")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("param-count", help="trainable parameter total")
     _add_config_flags(p)
     p.add_argument("--reference", choices=("baseline", "quantum"),
                    help="use a built-in full-scale reference configuration")
-    p.set_defaults(func=cmd_param_count)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient battery")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, not bound into the cached parser, so a cmd_*
+    # function replaced on this module takes effect.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except FileNotFoundError as exc:
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: no such file: {missing}", file=sys.stderr)

@@ -150,13 +150,15 @@ def read_pgm(path):
     if buf[:2] != b"P5":
         raise FileFormatError("not a binary PGM (magic P5)", offset=0)
     fields = []
-    end = 2
     for token, end in _pgm_tokens(buf):
         try:
-            fields.append(int(token))
+            fields.append((int(token), end))
         except ValueError:
             raise FileFormatError(f"bad header token {token!r}", offset=end) from None
-    width, height, maxval = fields
+    (width, width_end), (height, height_end), (maxval, end) = fields
+    for name, extent, at in (("width", width, width_end), ("height", height, height_end)):
+        if extent < 1:
+            raise FileFormatError(f"PGM {name} must be >= 1, got {extent}", offset=at)
     if maxval not in (255, 65535):
         raise FileFormatError(f"maxval must be 255 or 65535, got {maxval}", offset=end)
     data_at = end + 1

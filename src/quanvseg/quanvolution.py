@@ -1,12 +1,13 @@
 """Quanvolutional pre-processing of single-band rasters.
 
 A k x k window slides over the image; each window is flattened row-major,
-angle-encoded onto the circuit's qubits, run through the frozen circuit,
-and measured.  Channel q of the output holds qubit q's Z expectation at
-every window position (optionally rescaled from [-1, 1] to [0, 1]).
+angle-encoded onto the circuit's first k*k qubits, run through the frozen
+circuit, and measured.  Channel q of the output holds qubit q's Z
+expectation at every window position (optionally rescaled from [-1, 1] to
+[0, 1]).
 
 The circuit itself is evaluated in quanvseg.backend, by the dense or the
-statevector plan chosen from the qubit count.
+statevector plan chosen from the encoded and total qubit counts.
 """
 
 from __future__ import annotations
@@ -126,10 +127,8 @@ def quanvolve(image, config: QuanvConfig) -> FeatureStack:
     n_h, n_w = windows.shape[:2]
     flat = windows.reshape(n_h * n_w, k * k)
 
-    enc = np.zeros((flat.shape[0], config.n_qubits), dtype=np.float64)
-    enc[:, : k * k] = math.pi * flat
-
-    z = backend.kernel().run_windows(enc, config.circuit)
+    # Only the first k*k qubits are encoded; the rest stay in |0>.
+    z = backend.kernel().run_windows(math.pi * flat, config.circuit)
     if config.rescale:
         z = 0.5 * (1.0 + z)
     stack = z.T.reshape(config.n_qubits, n_h, n_w).copy()

@@ -10,11 +10,11 @@ import numpy.testing as npt
 import pytest
 
 from quanvseg.checkpoint import save_checkpoint
-from quanvseg.cli import DEFAULTS, load_config, main
+from quanvseg.cli import DEFAULTS, build_parser, load_config, main
 from quanvseg.fileio import read_pgm, read_tensor, write_pgm
 from quanvseg.qsim.circuits import build_circuit, serialize_circuit
 from quanvseg.quanvolution import QuanvConfig
-from quanvseg.unet import AttentionUNetConfig, build_model
+from quanvseg.unet import AttentionUNetConfig, build_model, count_params
 
 FAST_MODEL = ["--set", "model.depth=2", "--set", "model.widths=4,8"]
 FAST_TRAIN = ["--set", "train.epochs=2", "--set", "train.batch=4"]
@@ -85,6 +85,60 @@ def test_unknown_config_key_exits_2(workdir, capsys):
                  str(workdir["root"] / "unused"), "--set", "bogus.key=1"])
     assert code == 2
     assert "bogus.key" in capsys.readouterr().err
+
+
+# case id -> (subcommand, flags, the key or flag the error must name)
+BAD_VALUE_RUNS = {
+    "circuit.qubits=0": ("quanvolve", ["--set", "circuit.qubits=0"], "circuit.qubits"),
+    "circuit.layers=0": ("quanvolve", ["--set", "circuit.layers=0"], "circuit.layers"),
+    "circuit.seed=-1": ("quanvolve", ["--set", "circuit.seed=-1"], "circuit.seed"),
+    "circuit.seed=2**64": ("quanvolve", ["--set", f"circuit.seed={2**64}"], "circuit.seed"),
+    "train.batch=0": ("train", ["--set", "train.batch=0"], "train.batch"),
+    "train.epochs=0": ("train", ["--set", "train.epochs=0"], "train.epochs"),
+    "train.epochs=-1": ("train", ["--set", "train.epochs=-1"], "train.epochs"),
+    "train.lr=-1": ("train", ["--set", "train.lr=-1"], "train.lr"),
+    "train.lr=nan": ("train", ["--set", "train.lr=nan"], "train.lr"),
+    "train.seed=-1": ("train", ["--set", "train.seed=-1"], "train.seed"),
+    "synth-data--looks=nan": ("synth-data", ["--looks", "nan"], "--looks"),
+    "synth-data--seed=-1": ("synth-data", ["--seed", "-1"], "--seed"),
+    "gradcheck--seed=-1": ("gradcheck", ["--seed", "-1"], "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUE_RUNS))
+def test_out_of_range_value_exits_2(workdir, tmp_path, capsys, case):
+    command, flags, key = BAD_VALUE_RUNS[case]
+    base = {
+        "quanvolve": ["--input", workdir["scene"], "--output", str(tmp_path / "o.qvt1")],
+        "train": ["--patches", workdir["patches"],
+                  "--checkpoint-out", str(tmp_path / "ck")] + FAST_MODEL,
+        "synth-data": ["--scene-out", str(tmp_path / "s.pgm"),
+                       "--mask-out", str(tmp_path / "m.pgm")],
+        "gradcheck": [],
+    }[command]
+    assert main([command] + base + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
+def test_parser_is_reused_without_leaking_set_values(monkeypatch, capsys):
+    from quanvseg import cli
+
+    assert build_parser() is build_parser()
+    assert main(["param-count"] + FAST_MODEL) == 0
+    small = capsys.readouterr().out
+    assert main(["param-count"]) == 0
+    default = capsys.readouterr().out
+    assert main(["param-count"] + FAST_MODEL) == 0
+    again = capsys.readouterr().out
+    expected = count_params(AttentionUNetConfig(depth=3, widths=(8, 16, 32)))
+    assert default.split()[0] == str(expected)
+    assert small == again != default
+    # Subcommands are looked up per call, so a replaced one still runs.
+    monkeypatch.setattr(cli, "cmd_param_count", lambda args: 7)
+    assert main(["param-count"]) == 7
 
 
 # ---------------------------------------------------------------------
@@ -499,6 +553,18 @@ def test_quanvolve_accepts_qvt1_input(tmp_path):
                  "--set", "circuit.qubits=4", "--set", "circuit.layers=1",
                  "--set", "quanv.kernel=2"]) == 0
     assert read_tensor(out).shape == (4, 16, 16)
+
+
+@pytest.mark.parametrize("extents", [b"-3 4", b"0 0", b"-2 -2"])
+def test_quanvolve_non_positive_pgm_extent_exits_1(tmp_path, capsys, extents):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + extents + b"\n255\n" + bytes(16))
+    code = main(["quanvolve", "--input", str(path),
+                 "--output", str(tmp_path / "o.qvt1")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_quanvolve_rejects_3d_tensor_input(tmp_path, capsys):

@@ -416,6 +416,21 @@ def test_pgm_rejects_bad_magic(tmp_path):
     assert err.value.offset == 0
 
 
+@pytest.mark.parametrize("header, name, offset", [
+    (b"P5\n-3 4\n255\n", "width", 5),
+    (b"P5\n0 0\n255\n", "width", 4),
+    (b"P5\n-2 -2\n255\n", "width", 5),
+    (b"P5\n2 -2\n255\n", "height", 7),
+])
+def test_pgm_rejects_non_positive_extent(tmp_path, header, name, offset):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(FileFormatError) as err:
+        read_pgm(path)
+    assert f"PGM {name} must be >= 1" in str(err.value)
+    assert err.value.offset == offset
+
+
 def test_pgm_rejects_bad_maxval(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P5\n1 1\n100\n\x00")

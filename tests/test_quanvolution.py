@@ -23,7 +23,14 @@ from quanvseg.qsim.circuits import (
 )
 from quanvseg.qsim.oracle import dense_unitary_oracle, gate_unitary
 from quanvseg.qsim.state import angle_encode, measure_z_expectations, new_zero_state
-from quanvseg.backend import _CHUNK, _PLANS, _transfer_matrix, backend_name, plan_name
+from quanvseg.backend import (
+    _CHUNK,
+    _PLANS,
+    DENSE_MAX_AMPLITUDES,
+    _transfer_matrix,
+    backend_name,
+    plan_name,
+)
 from quanvseg.quanvolution import QuanvConfig, quanvolve, window_positions
 
 
@@ -255,17 +262,35 @@ def oracle_expectations(spec, enc):
     return probs.T @ (1.0 - 2.0 * bits)
 
 
-@pytest.mark.parametrize("n_qubits", [4, 9])
+@pytest.mark.parametrize("n_qubits, n_encoded", [(4, 4), (9, 9), (6, 4)],
+                         ids=["4", "9", "6-on-4"])
 @pytest.mark.parametrize("template", TEMPLATES)
 @pytest.mark.parametrize("plan", sorted(_PLANS))
-def test_plan_matches_window_oracle(plan, template, n_qubits):
+def test_plan_matches_window_oracle(plan, template, n_qubits, n_encoded):
+    """Windows encoded on the first m qubits; the oracle sees angle 0 on the rest."""
     circuit = build_circuit(template, n_qubits, 2, seed=9)
     rng = np.random.default_rng(8)
-    enc = math.pi * rng.uniform(size=(40, n_qubits))
+    enc = math.pi * rng.uniform(size=(40, n_encoded))
     enc[:4] = 0.0
     enc[4:8] = math.pi
     got = _PLANS[plan](enc, circuit)
-    npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
+    assert got.shape == (40, n_qubits)
+    full = np.pad(enc, ((0, 0), (0, n_qubits - n_encoded)))
+    npt.assert_allclose(got, oracle_expectations(circuit, full), atol=1e-9)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("plan", sorted(_PLANS))
+def test_plan_matches_simulator_for_3x3_windows_on_11_qubits(plan, template):
+    """k = 3 on 11 qubits, against the single-state simulator."""
+    circuit = build_circuit(template, 11, 2, seed=9)
+    windows = np.random.default_rng(8).uniform(size=(24, 9))
+    windows[:2] = 0.0
+    windows[2:4] = 1.0
+    got = _PLANS[plan](math.pi * windows, circuit)
+    want = [measure_z_expectations(run_circuit(circuit, angle_encode(w, 11)))
+            for w in windows]
+    npt.assert_allclose(got, want, atol=1e-9)
 
 
 def test_backends_agree():
@@ -278,18 +303,41 @@ def test_backends_agree():
 
 
 def test_selected_backend_is_reported():
-    """The plan follows the qubit count alone; only dense ones compile."""
+    """The plan follows 2**(m + n) against the cap; only dense ones compile."""
     assert backend_name() == "numpy"
-    assert plan_name(10) == "dense"
-    assert plan_name(11) == "statevector"
-    image = np.random.default_rng(11).uniform(size=(4, 4))
+    assert DENSE_MAX_AMPLITUDES == 1 << 22
+    # 3x3 windows run dense up to 13 qubits, full-width encodings up to 11.
+    assert plan_name(9, 13) == "dense"
+    assert plan_name(9, 14) == "statevector"
+    assert plan_name(11, 11) == "dense"
+    assert plan_name(12, 12) == "statevector"
+    assert plan_name(16, 16) == "statevector"
+    image = np.random.default_rng(11).uniform(size=(5, 5))
     _transfer_matrix.cache_clear()
-    for n_qubits in (10, 11):
+    for kernel_size, n_qubits, plan in ((2, 11, "dense"), (4, 16, "statevector")):
+        assert plan_name(kernel_size**2, n_qubits) == plan
         circuit = build_circuit("basic_entangled", n_qubits, 1, seed=11)
-        got = quanvolve(image, small_config(circuit=circuit)).data
-        assert got.shape == (n_qubits, 3, 3)
-    # Only the 10-qubit circuit went through a transfer matrix.
+        config = small_config(circuit=circuit, kernel_size=kernel_size)
+        got = quanvolve(image, config).data
+        assert got.shape == (n_qubits, 6 - kernel_size, 6 - kernel_size)
+    # Only the 11-qubit circuit went through a transfer matrix.
     assert _transfer_matrix.cache_info().misses == 1
+
+
+def test_3x3_windows_on_12_qubits_compile_the_encoded_block_once():
+    circuit = build_circuit("strongly_entangled", 12, 1, seed=15)
+    image = np.random.default_rng(15).uniform(size=(6, 6))
+    config = QuanvConfig(circuit=circuit, kernel_size=3)
+    assert plan_name(9, 12) == "dense"
+    _transfer_matrix.cache_clear()
+    first = quanvolve(image, config).data
+    second = quanvolve(image, config).data
+    info = _transfer_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.tobytes() == second.tobytes()
+    re, im, signs = _transfer_matrix(circuit, 9)
+    assert re.shape == im.shape == (512, 4096)
+    assert signs.shape == (4096, 12)
 
 
 def test_dense_plan_compiles_once_per_spec():
@@ -308,16 +356,18 @@ def test_dense_plan_compiles_once_per_spec():
 def test_transfer_matrix_encoding():
     for template in TEMPLATES:
         circuit = build_circuit(template, 3, 1, seed=1)
-        re, im, signs = _transfer_matrix(circuit)
         u_t = dense_unitary_oracle(circuit).T
-        npt.assert_allclose(re, u_t.real, atol=1e-12)
-        if im is None:
-            assert not u_t.imag.any()
-        else:
-            npt.assert_allclose(im, u_t.imag, atol=1e-12)
-        assert not re.flags.writeable
+        # m = 3 is all of U^T; m = 2 keeps the rows whose last qubit is 0.
+        for n_encoded, rows in ((3, [0, 1, 2, 3, 4, 5, 6, 7]), (2, [0, 2, 4, 6])):
+            re, im, signs = _transfer_matrix(circuit, n_encoded)
+            npt.assert_allclose(re, u_t[rows].real, atol=1e-12)
+            if im is None:
+                assert not u_t.imag.any()
+            else:
+                npt.assert_allclose(im, u_t[rows].imag, atol=1e-12)
+            assert not re.flags.writeable
     # basic_entangled holds only RY and CNOT, so its matrix is real.
-    assert _transfer_matrix(build_circuit("basic_entangled", 3, 1, seed=1))[1] is None
+    assert _transfer_matrix(build_circuit("basic_entangled", 3, 1, seed=1), 3)[1] is None
     # Row j: +1 where qubit q of basis state j is 0; qubit 0 is the MSB.
     npt.assert_array_equal(signs[0b011], [1.0, -1.0, -1.0])
     npt.assert_array_equal(signs[0b100], [-1.0, 1.0, 1.0])
@@ -327,21 +377,18 @@ def test_transfer_matrix_encoding():
 # Determinism under parallelism
 
 
-def _quanvolve_bytes(threads):
-    """Run an 11-qubit (statevector plan) quanvolution over two chunks in a
-    subprocess with a fixed thread cap."""
+def _statevector_bytes(threads):
+    """Run the statevector plan on 3x3-window encodings for 11 qubits over
+    two chunks, in a subprocess with a fixed thread cap."""
     code = (
+        "import math, sys\n"
         "import numpy as np\n"
-        "from quanvseg.backend import _CHUNK, plan_name\n"
+        "from quanvseg.backend import _CHUNK, _PLANS\n"
         "from quanvseg.qsim.circuits import build_circuit\n"
-        "from quanvseg.quanvolution import QuanvConfig, quanvolve\n"
-        "assert plan_name(11) == 'statevector'\n"
         "circuit = build_circuit('strongly_entangled', 11, 1, seed=12)\n"
-        "config = QuanvConfig(circuit=circuit, kernel_size=3, rescale=True)\n"
-        "image = np.random.default_rng(13).uniform(size=(47, 47))\n"
+        "enc = math.pi * np.random.default_rng(13).uniform(size=(47 * 47, 9))\n"
         "assert _CHUNK < 47 * 47 <= 2 * _CHUNK\n"
-        "import sys\n"
-        "sys.stdout.buffer.write(quanvolve(image, config).data.tobytes())\n"
+        "sys.stdout.buffer.write(_PLANS['statevector'](enc, circuit).tobytes())\n"
     )
     env = dict(os.environ, QUANVSEG_THREADS=str(threads))
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -350,7 +397,7 @@ def _quanvolve_bytes(threads):
 
 
 def test_thread_count_does_not_change_bytes():
-    assert _quanvolve_bytes(1) == _quanvolve_bytes(2)
+    assert _statevector_bytes(1) == _statevector_bytes(2)
 
 
 def _dense_bytes(blas_threads):
@@ -361,7 +408,7 @@ def _dense_bytes(blas_threads):
         "from quanvseg.qsim.circuits import TEMPLATES, build_circuit\n"
         "from quanvseg.backend import plan_name\n"
         "from quanvseg.quanvolution import QuanvConfig, quanvolve\n"
-        "assert plan_name(9) == 'dense'\n"
+        "assert plan_name(9, 9) == 'dense'\n"
         "for size in (37, 64):\n"
         "    image = np.random.default_rng(size).uniform(size=(size, size))\n"
         "    for template in TEMPLATES:\n"
