@@ -2,8 +2,9 @@
 speckled scenes for end-to-end runs without real imagery.
 
 A patch directory is the on-disk form: `index.txt` lines of
-`<name> <split> <row> <col>` next to `<name>.img.qvt1` /
-`<name>.msk.qvt1` tensor files.
+`<name> <split> <row> <col>`, one per patch, next to two QVT1 tensors
+that stack the patches in index order: `images.qvt1`, shaped (N, H, W)
+or (N, C, H, W), and `masks.qvt1`, shaped (N, H, W).
 """
 
 from __future__ import annotations
@@ -94,20 +95,23 @@ def split(patches: PatchSet, test_fraction: float, seed: int) -> tuple[PatchSet,
     return PatchSet(items=train), PatchSet(items=test)
 
 
+IMAGES_FILE = "images.qvt1"
+MASKS_FILE = "masks.qvt1"
+
+
 def save_patch_dir(outdir, train: PatchSet, test: PatchSet):
-    """Write both splits as QVT1 pairs plus an index.txt."""
+    """Write both splits as one image and one mask stack plus an index.txt."""
     os.makedirs(outdir, exist_ok=True)
     lines = []
-    counter = 0
     for label, patchset in (("train", train), ("test", test)):
         for item in patchset.items:
-            name = f"p{counter:05d}"
-            counter += 1
-            write_tensor(os.path.join(outdir, f"{name}.img.qvt1"),
-                         item.image.astype(np.float32))
-            write_tensor(os.path.join(outdir, f"{name}.msk.qvt1"),
-                         item.mask.astype(np.float32))
-            lines.append(f"{name} {label} {item.row} {item.col}")
+            lines.append(f"p{len(lines):05d} {label} {item.row} {item.col}")
+    items = train.items + test.items
+    if items:
+        write_tensor(os.path.join(outdir, IMAGES_FILE),
+                     np.stack([item.image for item in items], dtype=np.float32))
+        write_tensor(os.path.join(outdir, MASKS_FILE),
+                     np.stack([item.mask for item in items], dtype=np.float32))
     with open(os.path.join(outdir, "index.txt"), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -117,20 +121,36 @@ def load_patch_dir(path) -> tuple[PatchSet, PatchSet]:
     index = os.path.join(path, "index.txt")
     lines = [(lineno, ln.split())
              for lineno, ln in enumerate(read_text(index).split("\n"), start=1) if ln.strip()]
-    buckets: dict[str, list[PatchItem]] = {"train": [], "test": []}
+    entries = []
     for lineno, fields in lines:
-        if len(fields) != 4 or fields[1] not in buckets:
+        if len(fields) != 4 or fields[1] not in ("train", "test"):
             raise FileFormatError(f"{index} line {lineno}: bad index line: {' '.join(fields)!r}")
-        name, label, row, col = fields
+        _, label, row, col = fields
         try:
-            row, col = int(row), int(col)
+            entries.append((label, int(row), int(col)))
         except ValueError:
             raise FileFormatError(
                 f"{index} line {lineno}: row and col must be integers, got {row!r} {col!r}"
             ) from None
-        image = read_tensor(os.path.join(path, f"{name}.img.qvt1"))
-        mask = read_tensor(os.path.join(path, f"{name}.msk.qvt1"))
-        buckets[label].append(PatchItem(image=image, mask=mask, row=row, col=col))
+    buckets: dict[str, list[PatchItem]] = {"train": [], "test": []}
+    if entries:
+        images_path = os.path.join(path, IMAGES_FILE)
+        masks_path = os.path.join(path, MASKS_FILE)
+        images = read_tensor(images_path)
+        masks = read_tensor(masks_path)
+        # Header offsets: byte 5 is ndim, the first extent starts at byte 6.
+        for file, stack in ((images_path, images), (masks_path, masks)):
+            if stack.shape[0] != len(entries):
+                raise FileFormatError(f"{file}: holds {stack.shape[0]} patches, but {index} "
+                                      f"lists {len(entries)}", offset=6)
+        if masks.ndim != 3:
+            raise FileFormatError(f"{masks_path}: expected (N, H, W), got shape {masks.shape}",
+                                  offset=5)
+        if images.ndim not in (3, 4) or images.shape[-2:] != masks.shape[1:]:
+            raise FileFormatError(f"{images_path}: shape {images.shape} does not fit masks "
+                                  f"{masks.shape}; expected (N, H, W) or (N, C, H, W)", offset=5)
+        for (label, row, col), image, mask in zip(entries, images, masks):
+            buckets[label].append(PatchItem(image=image, mask=mask, row=row, col=col))
     return PatchSet(items=tuple(buckets["train"])), PatchSet(items=tuple(buckets["test"]))
 
 

@@ -7,7 +7,9 @@ its arguments.  Convolution follows the cross-correlation convention
 (no kernel flip).  It runs on a channel-major raster, the zero-padded
 input laid out as (C, N*Hp*Wp), where kernel tap (i, j) is the column
 offset i*Wp + j, so the taps become GEMMs over shifted views and no
-patch matrix is built.
+patch matrix is built.  A 1x1 kernel at stride 1 without padding skips
+the raster: it is one batched GEMM per image on the NCHW arrays, with
+no copy or transpose.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ def _correlate(xf, w, wp: int, length: int):
     return out
 
 
+def _batched_matmul(a, b):
+    """np.matmul(a, b) for a (O, K) and b (N, K, Q).
+
+    When K == 1 it is the broadcast product a * b, the same values without
+    a BLAS call, which is slow at an inner dimension of 1.
+    """
+    return a * b if a.shape[1] == 1 else np.matmul(a, b)
+
+
+def _is_pointwise(w, stride, padding):
+    return w.shape[2:] == (1, 1) and stride == 1 and padding == 0
+
+
 def conv2d_forward(x, w, b=None, stride: int = 1, padding: int = 0):
     """Cross-correlate (N, C_in, H, W) with (C_out, C_in, kH, kW) + bias.
 
@@ -52,6 +67,11 @@ def conv2d_forward(x, w, b=None, stride: int = 1, padding: int = 0):
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"bias shape {b.shape} != ({c_out},)")
     n, _, h, wd = x.shape
+    if _is_pointwise(w, stride, padding):
+        out = _batched_matmul(w.reshape(c_out, c_in), x.reshape(n, c_in, h * wd))
+        if b is not None:
+            out = np.add(out, b[:, None], out=out if out.dtype == np.result_type(out, b) else None)
+        return out.reshape(n, c_out, h, wd), (x, x.shape, w, b is not None, stride, padding)
     hp, wp = h + 2 * padding, wd + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} exceeds padded input {(hp, wp)}")
@@ -77,6 +97,13 @@ def conv2d_backward(cache, gy):
     xf, x_shape, w, has_b, stride, padding = cache
     n, c_in, h, wd = x_shape
     c_out, _, kh, kw = w.shape
+    gb = gy.sum(axis=(0, 2, 3)) if has_b else None
+    if _is_pointwise(w, stride, padding):
+        # xf is the NCHW input itself
+        g = gy.reshape(n, c_out, h * wd)
+        gx = _batched_matmul(w.reshape(c_out, c_in).T, g)
+        gw = np.matmul(g, xf.reshape(n, c_in, h * wd).transpose(0, 2, 1)).sum(axis=0)
+        return gx.reshape(x_shape), gw.reshape(w.shape), gb
     hp, wp = h + 2 * padding, wd + 2 * padding
     length = n * hp * wp
     reach = (kh - 1) * wp + kw - 1
@@ -96,7 +123,6 @@ def conv2d_backward(cache, gy):
     gxf = _correlate(gpad, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), wp, length)
     gx = gxf.reshape(c_in, n, hp, wp)[
         :, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3)
-    gb = gy.sum(axis=(0, 2, 3)) if has_b else None
     return np.ascontiguousarray(gx), np.ascontiguousarray(gw.transpose(3, 2, 0, 1)), gb
 
 
@@ -120,27 +146,46 @@ def sigmoid_backward(cache, gy):
     return gy * cache * (1.0 - cache)
 
 
+# Window slot k of a 2x2 pooling window is the offset (k // 2, k % 2),
+# argmax's row-major order.
+_POOL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2x2_forward(x):
-    """Non-overlapping 2x2 max; spatial dims must be even."""
+    """Non-overlapping 2x2 max; spatial dims must be even.
+
+    The cache keeps one uint8 slot per window: the first slot holding the
+    maximum, argmax's tie rule.  A window holding NaN outputs NaN.
+    """
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW input, got shape {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, (idx, x.shape)
+    x00, x01, x10, x11 = (x[:, :, i::2, j::2] for i, j in _POOL_SLOTS)
+    # np.maximum returns its second operand on ties, so the output carries
+    # the bits of the first maximal slot, as argmax's pick does (+0 vs -0).
+    out = np.maximum(np.maximum(x11, x10), np.maximum(x01, x00))
+    # slot = 0 if x00 == out else 1 if x01 == out else 2 if x10 == out else 3
+    slot = np.not_equal(x10, out).view(np.uint8) + np.uint8(1)
+    slot *= np.not_equal(x01, out).view(np.uint8)
+    slot += np.uint8(1)
+    slot *= np.not_equal(x00, out).view(np.uint8)
+    return out, (slot, x.shape)
 
 
 def maxpool2x2_backward(cache, gy):
-    idx, x_shape = cache
-    n, c, h, w = x_shape
-    g = np.zeros((n, c, h // 2, w // 2, 4), dtype=gy.dtype)
-    np.put_along_axis(g, idx[..., None], gy[..., None], axis=-1)
-    g = g.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(g.reshape(n, c, h, w))
+    slot, x_shape = cache
+    # Selecting gy's bits with an all-ones or all-zeros mask writes gy
+    # exactly where the slot won and +0.0 elsewhere.
+    uint = np.dtype(f"u{gy.itemsize}")
+    gx = np.empty(x_shape, dtype=gy.dtype)
+    gy_bits, gx_bits = gy.view(uint), gx.view(uint)
+    for k, (i, j) in enumerate(_POOL_SLOTS):
+        mask = np.equal(slot, k).astype(uint)
+        np.negative(mask, out=mask)
+        np.bitwise_and(gy_bits, mask, out=gx_bits[:, :, i::2, j::2])
+    return gx
 
 
 def nearest_upsample2x_forward(x):
@@ -243,38 +288,51 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, train: bool,
     """
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW input, got shape {x.shape}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     for name, arr in (("gamma", gamma), ("beta", beta),
                       ("running_mean", running_mean), ("running_var", running_var)):
         if arr.shape != (c,):
             raise ShapeError(f"{name} shape {arr.shape} != ({c},)")
+    x3 = x.reshape(n, c, h * w)
+    m = n * h * w
     if train:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mean = x3.sum(axis=2).sum(axis=0) / m
+        xhat = x3 - mean[:, None]
+        var = np.einsum("nci,nci->c", xhat, xhat) / m
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
+        xhat = x3 - mean[:, None]
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    return out, new_mean, new_var, (xhat, gamma, ivar, train)
+    xhat *= ivar[:, None]
+    out = xhat * gamma[:, None]
+    out += beta[:, None]
+    return out.reshape(x.shape), new_mean, new_var, (xhat, gamma, ivar, train)
 
 
 def batchnorm_backward(cache, gy):
-    """Returns (gx, ggamma, gbeta)."""
+    """Returns (gx, ggamma, gbeta).
+
+    xhat is cached as (N, C, H*W).  In train mode the batch statistics
+    depend on x, which folds into gx = (gy - gbeta/m - xhat*ggamma/m) *
+    gamma*ivar over the m = N*H*W values of a channel.
+    """
     xhat, gamma, ivar, train = cache
-    gbeta = gy.sum(axis=(0, 2, 3))
-    ggamma = (gy * xhat).sum(axis=(0, 2, 3))
-    gxhat = gy * gamma[None, :, None, None]
+    n, c, h, w = gy.shape
+    g = gy.reshape(n, c, h * w)
+    gbeta = g.sum(axis=2).sum(axis=0)
+    ggamma = np.einsum("nci,nci->c", g, xhat)
+    scale = (gamma * ivar)[:, None]
     if not train:
-        return gxhat * ivar[None, :, None, None], ggamma, gbeta
-    m = gy.shape[0] * gy.shape[2] * gy.shape[3]
-    s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-    s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    gx = (gxhat - s1 / m - xhat * (s2 / m)) * ivar[None, :, None, None]
-    return gx, ggamma, gbeta
+        return (g * scale).reshape(gy.shape), ggamma, gbeta
+    m = n * h * w
+    gx = xhat * (ggamma / m)[:, None]
+    np.subtract(g, gx, out=gx)
+    gx -= (gbeta / m)[:, None]
+    gx *= scale
+    return gx.reshape(gy.shape), ggamma, gbeta
 
 
 def bce_loss(pred, target):

@@ -15,6 +15,7 @@ from quanvseg.exceptions import (
     ShapeError,
     StateError,
 )
+from quanvseg.nn import adam_step, bce_loss, init_adam
 from quanvseg.nn.gradcheck import gradcheck
 from quanvseg.nn.metrics import overall_accuracy
 from quanvseg.qsim.circuits import build_circuit, serialize_circuit
@@ -273,16 +274,50 @@ INIT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(INIT_DIGESTS))
-def test_build_model_initialisation_is_pinned(name):
-    cfg, expected = INIT_DIGESTS[name]
-    model = build_model(cfg, seed=3)
+def model_digest(model):
     digest = hashlib.sha256()
     for table in (model.params, model.stats):
         for key, arr in table.items():
             digest.update(key.encode("ascii") + b"\0")
             digest.update(arr.tobytes())
-    assert digest.hexdigest() == expected
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INIT_DIGESTS))
+def test_build_model_initialisation_is_pinned(name):
+    cfg, expected = INIT_DIGESTS[name]
+    assert model_digest(build_model(cfg, seed=3)) == expected
+
+
+# The same digest after 12 Adam steps of the desk train step (widths 8,16,32,
+# batch 8, 64x64) from build_model(cfg, seed=3).  It pins every op's forward
+# and backward arithmetic bit for bit, so a change that reorders a sum, on
+# purpose or not, shows here; such a change records its new digest.  The
+# bytes also depend on the BLAS build (they held across 1 and 2 OpenBLAS
+# threads when recorded).
+TRAIN_DIGESTS = {
+    "transposed": "0828591ab9a179dcfd8579980d3544e158df7e66559cbdce47ee9bff0eeab890",
+    "nearest": "6ae088a98895f8312a759678f35f6586b7bde4913d53b56cf30455fe7cae88d6",
+}
+
+
+def pinned_training_run(kind):
+    model = build_model(AttentionUNetConfig(upsample=kind), seed=3)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(8, 1, 64, 64)).astype(np.float32)
+    y = (rng.uniform(size=(8, 1, 64, 64)) < 0.3).astype(np.float32)
+    state = init_adam(model.params)
+    for _ in range(12):
+        out, caches = model.forward(x, train=True)
+        _, g = bce_loss(out, y)
+        grads, _ = model.backward(caches, g)
+        adam_step(model.params, grads, state)
+    return model
+
+
+@pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
+def test_training_is_pinned(kind):
+    assert model_digest(pinned_training_run(kind)) == TRAIN_DIGESTS[kind]
 
 
 def test_parameter_shapes_align_with_built_model():

@@ -155,13 +155,15 @@ def test_synth_data_outputs(workdir):
 
 def test_make_patches_layout(workdir):
     names = sorted(os.listdir(workdir["patches"]))
-    assert "index.txt" in names
+    assert names == ["images.qvt1", "index.txt", "masks.qvt1"]
     # 4x4 grid of 16-pixel patches, default test fraction 0.2 -> 4 test
     index = [ln.split() for ln in
              Path(workdir["patches"], "index.txt").read_text().splitlines()]
     labels = [fields[1] for fields in index]
     assert len(index) == 16
     assert labels.count("test") == 4 and labels.count("train") == 12
+    for name in ("images.qvt1", "masks.qvt1"):
+        assert read_tensor(os.path.join(workdir["patches"], name)).shape == (16, 16, 16)
 
 
 def test_synth_data_degenerate_size_exits_1(tmp_path, capsys):
@@ -352,6 +354,28 @@ def test_index_non_integer_position_exits_1(workdir, tmp_path, capsys, bad_line)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "index.txt line 3" in err
+
+
+# (file, edit of the stacked array, header offset the error names)
+STACK_DEFECTS = {
+    "images-short": ("images.qvt1", lambda a: a[1:], 6),
+    "masks-long": ("masks.qvt1", lambda a: np.concatenate([a, a[:1]]), 6),
+    "masks-4d": ("masks.qvt1", lambda a: a[:, None], 5),
+    "images-width": ("images.qvt1", lambda a: a[..., 1:], 5),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(STACK_DEFECTS))
+def test_patch_stack_mismatch_exits_1(workdir, tmp_path, capsys, defect):
+    from quanvseg.fileio import write_tensor
+
+    name, edit, at = STACK_DEFECTS[defect]
+    patches = tmp_path / "patches"
+    shutil.copytree(workdir["patches"], patches)
+    write_tensor(patches / name, edit(read_tensor(patches / name)))
+    code = main(["train", "--patches", str(patches),
+                 "--checkpoint-out", str(tmp_path / "model")] + FAST_MODEL + FAST_TRAIN)
+    assert_located_error(capsys, code, 1, patches / name, at)
 
 
 MANIFEST_DEFECTS = {
@@ -591,7 +615,7 @@ def test_make_patches_normalize_db(tmp_path, capsys):
     outdir = str(tmp_path / "patches")
     assert main(["make-patches", "--scene", scene_path, "--mask", mask_path,
                  "--outdir", outdir, "--normalize-db"] + SMALL_GRID) == 0
-    img = read_tensor(os.path.join(outdir, "p00000.img.qvt1"))
+    img = read_tensor(os.path.join(outdir, "images.qvt1"))
     assert img.min() >= 0.0 and img.max() <= 1.0
     # patches land in shuffled splits, so check membership rather than layout
     expected = (np.clip(scene_db, -25.0, 5.0) + 25.0) / 30.0

@@ -263,6 +263,26 @@ def test_patch_dir_round_trip(tmp_path):
         assert (before.row, before.col) == (after.row, after.col)
 
 
+def test_patch_dir_round_trips_feature_stacks(tmp_path):
+    # (C, H, W) images, as quanvolution makes, stack to (N, C, H, W)
+    rng = np.random.default_rng(6)
+    items = tuple(PatchItem(image=rng.uniform(size=(3, 8, 8)).astype(np.float32),
+                            mask=(rng.uniform(size=(8, 8)) > 0.5).astype(np.float32),
+                            row=8 * i, col=0) for i in range(3))
+    save_patch_dir(tmp_path / "patches", PatchSet(items=items[:2]), PatchSet(items=items[2:]))
+    train, test = load_patch_dir(tmp_path / "patches")
+    for before, after in zip(items, train.items + test.items):
+        npt.assert_array_equal(before.image, after.image)
+        npt.assert_array_equal(before.mask, after.mask)
+        assert (before.row, before.col) == (after.row, after.col)
+
+
+def test_patch_dir_round_trips_empty_splits(tmp_path):
+    save_patch_dir(tmp_path / "patches", PatchSet(), PatchSet())
+    train, test = load_patch_dir(tmp_path / "patches")
+    assert len(train) == len(test) == 0
+
+
 def test_patch_dir_rejects_corrupt_index(tmp_path):
     train, test = split(make_patchset(4), test_fraction=0.5, seed=0)
     save_patch_dir(tmp_path / "patches", train, test)

@@ -115,12 +115,14 @@ def test_conv_matches_loop_reference(stride, padding, kernel):
 def test_conv_float32_stays_float32():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
-    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     b = np.zeros(4, dtype=np.float32)
-    out, cache = ops.conv2d_forward(x, w, b, stride=2, padding=1)
-    assert out.dtype == np.float32
-    for g in ops.conv2d_backward(cache, np.ones_like(out)):
-        assert g.dtype == np.float32
+    # the raster path, and the 1x1 path with its single-channel special case
+    for c_out, k, stride, padding in ((4, 3, 2, 1), (4, 1, 1, 0), (1, 1, 1, 0)):
+        w = rng.normal(size=(c_out, 3, k, k)).astype(np.float32)
+        out, cache = ops.conv2d_forward(x, w, b[:c_out], stride=stride, padding=padding)
+        assert out.dtype == np.float32
+        for g in ops.conv2d_backward(cache, np.ones_like(out)):
+            assert g.dtype == np.float32
 
 
 # ---------------------------------------------------------------------
@@ -180,6 +182,58 @@ def test_maxpool_backward_routes_to_argmax():
     _, cache = ops.maxpool2x2_forward(x)
     gx = ops.maxpool2x2_backward(cache, np.ones((1, 1, 1, 1)))
     npt.assert_array_equal(gx.reshape(2, 2), [[0.0, 0.0], [0.0, 1.0]])
+
+
+def _maxpool_reference(x, gy):
+    """(out, gx) of 2x2 max pooling, one np.argmax per window: the first
+    maximum in row-major order wins, and the others get a +0.0 gradient."""
+    out = np.empty(gy.shape, dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for n, c, r, q in np.ndindex(*gy.shape):
+        window = x[n, c, 2 * r : 2 * r + 2, 2 * q : 2 * q + 2]
+        i, j = divmod(int(np.argmax(window)), 2)
+        out[n, c, r, q] = window[i, j]
+        gx[n, c, 2 * r + i, 2 * q + j] = gy[n, c, r, q]
+    return out, gx
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    npt.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_ties_route_to_first_max(dtype):
+    # one window per row-major tie pattern: all four equal, then every pair
+    pairs = [(0, 1, 2, 3)] + [(p, q) for p in range(4) for q in range(p + 1, 4)]
+    x = np.full((1, len(pairs), 2, 2), -1.0, dtype=dtype)
+    for c, tied in enumerate(pairs):
+        x[0, c].reshape(4)[list(tied)] = 2.0
+    gy = np.arange(1.0, len(pairs) + 1, dtype=dtype).reshape(1, -1, 1, 1)
+    out, cache = ops.maxpool2x2_forward(x)
+    gx = ops.maxpool2x2_backward(cache, gy)
+    npt.assert_array_equal(out, 2.0)
+    for c, tied in enumerate(pairs):
+        want = np.zeros(4, dtype=dtype)
+        want[tied[0]] = gy[0, c, 0, 0]
+        npt.assert_array_equal(gx[0, c].reshape(4), want)
+    want_out, want_gx = _maxpool_reference(x, gy)
+    _assert_same_bits(out, want_out)
+    _assert_same_bits(gx, want_gx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_argmax_reference_bits(dtype):
+    rng = np.random.default_rng(11)
+    # few distinct levels, signed zeros included, so most windows tie
+    levels = np.array([-1.0, -0.0, 0.0, 0.5, 1.0], dtype=dtype)
+    x = rng.choice(levels, size=(3, 4, 6, 8))
+    out, cache = ops.maxpool2x2_forward(x)
+    gy = rng.normal(size=out.shape).astype(dtype)
+    gx = ops.maxpool2x2_backward(cache, gy)
+    want_out, want_gx = _maxpool_reference(x, gy)
+    _assert_same_bits(out, want_out)
+    _assert_same_bits(gx, want_gx)
 
 
 def test_nearest_upsample_repeats_pixels():
@@ -278,6 +332,68 @@ def test_batchnorm_eval_uses_running_stats():
     npt.assert_allclose(out, (3.0 - 1.0) / math.sqrt(4.0 + 1e-5), rtol=1e-6)
     npt.assert_array_equal(new_m, [1.0])
     npt.assert_array_equal(new_v, [4.0])
+
+
+def _batchnorm_textbook(x, gamma, beta, mean, var, gy, eps=1e-5):
+    """Forward and backward of batch norm with the given statistics, written
+    out as in Ioffe & Szegedy (arXiv:1502.03167), algorithm 1 and section 3.
+
+    Passing the batch statistics differentiates through them (train mode);
+    passing running statistics treats them as constants (eval mode).
+    """
+    c = (slice(None), None, None)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    axes = (0, 2, 3)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[c]) * inv[c]
+    out = gamma[c] * xhat + beta[c]
+    dxhat = gy * gamma[c]
+    dgamma = (gy * xhat).sum(axis=axes)
+    dbeta = gy.sum(axis=axes)
+    return out, dxhat, dgamma, dbeta, inv, m
+
+
+def test_batchnorm_float64_matches_textbook_formula():
+    rng = np.random.default_rng(12)
+    x = rng.normal(0.7, 1.9, size=(3, 4, 5, 6))
+    gamma = rng.uniform(0.5, 1.5, size=4)
+    beta = rng.normal(size=4)
+    run_m, run_v = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+    gy = rng.normal(size=x.shape)
+    c = (slice(None), None, None)
+    axes = (0, 2, 3)
+    tol = {"rtol": 0, "atol": 1e-12}
+
+    mean, var = x.mean(axis=axes), ((x - x.mean(axis=axes)[c]) ** 2).mean(axis=axes)
+    want, dxhat, dgamma, dbeta, inv, m = _batchnorm_textbook(x, gamma, beta, mean, var, gy)
+    xc = x - mean[c]
+    dvar = (dxhat * xc).sum(axis=axes) * -0.5 * inv ** 3
+    dmean = -(dxhat * inv[c]).sum(axis=axes) + dvar * (-2.0 * xc).mean(axis=axes)
+    want_gx = dxhat * inv[c] + dvar[c] * 2.0 * xc / m + dmean[c] / m
+    out, new_m, new_v, cache = ops.batchnorm_forward(x, gamma, beta, run_m, run_v, train=True)
+    gx, ggamma, gbeta = ops.batchnorm_backward(cache, gy)
+    for got, expected in ((out, want), (new_m, 0.9 * run_m + 0.1 * mean),
+                          (new_v, 0.9 * run_v + 0.1 * var), (gx, want_gx),
+                          (ggamma, dgamma), (gbeta, dbeta)):
+        npt.assert_allclose(got, expected, **tol)
+
+    want, dxhat, dgamma, dbeta, inv, _ = _batchnorm_textbook(x, gamma, beta, run_m, run_v, gy)
+    out, new_m, new_v, cache = ops.batchnorm_forward(x, gamma, beta, run_m, run_v, train=False)
+    gx, ggamma, gbeta = ops.batchnorm_backward(cache, gy)
+    for got, expected in ((out, want), (new_m, run_m), (new_v, run_v),
+                          (gx, dxhat * inv[c]), (ggamma, dgamma), (gbeta, dbeta)):
+        npt.assert_allclose(got, expected, **tol)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_float32_stays_float32(train):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+    ones, zeros = np.ones(3, dtype=np.float32), np.zeros(3, dtype=np.float32)
+    out, new_m, new_v, cache = ops.batchnorm_forward(x, ones, zeros, zeros, ones, train)
+    grads = ops.batchnorm_backward(cache, np.ones_like(out))
+    for arr in (out, new_m, new_v) + grads:
+        assert arr.dtype == np.float32
 
 
 def test_batchnorm_rejects_channel_mismatch():
