@@ -20,7 +20,13 @@ import os
 import numpy as np
 
 from .exceptions import ConfigError, FileFormatError
-from .fileio import read_text, tensor_from_bytes, tensor_record_size, tensor_to_bytes
+from .fileio import (
+    located,
+    read_text,
+    tensor_from_bytes,
+    tensor_record_size,
+    tensor_to_bytes,
+)
 from .unet import AttentionUNet, AttentionUNetConfig, parameter_shapes
 
 MANIFEST_MAGIC = "quanvseg-checkpoint 1"
@@ -29,7 +35,11 @@ _QUANV_KEYS = ("quanv.kernel", "quanv.stride", "quanv.padding", "quanv.rescale")
 
 def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
                     circuit_text: str | None = None):
-    """Write `<prefix>.manifest` / `.tensors` (and `.circuit` if given)."""
+    """Write `<prefix>.tensors` (and `.circuit` if given), then `.manifest`.
+
+    Every file is built in memory and replaced atomically, so a save that
+    fails before its first write leaves the previous checkpoint loadable.
+    """
     prefix = str(prefix)
     cfg = model.config
     lines = [
@@ -55,13 +65,25 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
             dims = ",".join(str(d) for d in arr.shape)
             lines.append(f"{kind} {name} {dims} {len(blob)}")
             blob += tensor_to_bytes(np.asarray(arr))
-    with open(prefix + ".tensors", "wb") as fh:
-        fh.write(bytes(blob))
-    with open(prefix + ".manifest", "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(prefix + ".tensors", bytes(blob))
     if circuit_text is not None:
-        with open(prefix + ".circuit", "w", encoding="ascii") as fh:
-            fh.write(circuit_text)
+        _write_atomic(prefix + ".circuit", circuit_text.encode("ascii"))
+    _write_atomic(prefix + ".manifest", ("\n".join(lines) + "\n").encode("ascii"))
+
+
+def _write_atomic(path: str, data: bytes):
+    """Write a temp sibling, then os.replace it onto path: a reader sees the
+    old file or the new one, never a part, and a failed write leaves no
+    temp file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _int(text: str, where: str) -> int:
@@ -137,15 +159,16 @@ def load_checkpoint(prefix):
     with open(prefix + ".tensors", "rb") as fh:
         blob = fh.read()
     loaded: dict[str, tuple[str, np.ndarray]] = {}
-    for kind, name, shape, offset in tensor_lines:
-        size = tensor_record_size(blob[offset : offset + 22], offset)
-        arr = tensor_from_bytes(blob[offset : offset + size], offset)
-        if arr.shape != shape:
-            raise FileFormatError(
-                f"tensor {name}: manifest says {shape}, file holds {arr.shape}",
-                offset=offset,
-            )
-        loaded[name] = (kind, arr.astype(dtype, copy=False))
+    with located(prefix + ".tensors"):
+        for kind, name, shape, offset in tensor_lines:
+            size = tensor_record_size(blob[offset : offset + 22], offset)
+            arr = tensor_from_bytes(blob[offset : offset + size], offset)
+            if arr.shape != shape:
+                raise FileFormatError(
+                    f"tensor {name}: manifest says {shape}, file holds {arr.shape}",
+                    offset=offset,
+                )
+            loaded[name] = (kind, arr.astype(dtype, copy=False))
 
     params: dict[str, np.ndarray] = {}
     stats: dict[str, np.ndarray] = {}

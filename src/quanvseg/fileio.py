@@ -16,6 +16,7 @@ maxval.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -85,8 +86,18 @@ def write_tensor(path, array: np.ndarray):
         fh.write(tensor_to_bytes(array))
 
 
+@contextmanager
+def located(path):
+    """Put `path` in front of the message of a FileFormatError raised inside."""
+    try:
+        yield
+    except FileFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, located(path):
         return tensor_from_bytes(fh.read())
 
 
@@ -145,8 +156,11 @@ def _pgm_tokens(buf: bytes):
 
 def read_pgm(path):
     """Read binary PGM; returns (values in [0, 1] float64, maxval)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    with open(path, "rb") as fh, located(path):
+        return _pgm_from_bytes(fh.read())
+
+
+def _pgm_from_bytes(buf: bytes):
     if buf[:2] != b"P5":
         raise FileFormatError("not a binary PGM (magic P5)", offset=0)
     fields = []

@@ -77,11 +77,11 @@ def train(model: AttentionUNet, patchset: PatchSet, config: TrainConfig,
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             xb, tb = x_all[idx], t_all[idx]
-            out, caches = model.forward(xb, train=True)
+            out, tape = model.forward(xb, train=True)
             loss, gy = bce_loss(out, tb)
             if not math.isfinite(loss):
                 raise NumericError(f"loss diverged at epoch {epoch}")
-            grads, _ = model.backward(caches, gy)
+            grads, _ = model.backward(tape, gy)
             adam_step(model.params, grads, state)
             loss_sum += loss * xb.shape[0]
             correct += int(np.count_nonzero((out >= 0.5) == (tb >= 0.5)))

@@ -1,9 +1,11 @@
 """Attention-gated U-Net assembled from the hand-gradient ops.
 
 A model is a flat dict of named parameter arrays plus a parallel dict of
-batch-norm running statistics.  forward returns (output, caches);
-backward(caches, gy) returns (grads, gx) with gradient names matching
-parameter names, which keeps the optimizer and checkpoint code trivial.
+batch-norm running statistics.  forward returns (output, tape): as it
+runs, each op appends its backward and cache to a Tape.  backward(tape,
+gy) replays that tape in reverse and returns (grads, gx) with gradient
+names matching parameter names, which keeps the optimizer and checkpoint
+code trivial; the layer sequence is written only in forward.
 parameter_shapes is the single description of the topology: build_model,
 count_params, init_gate_params and the checkpoint loader all walk it.
 
@@ -132,10 +134,69 @@ def init_gate_params(c_g: int, c_x: int, width: int, rng, dtype=np.float32):
     return _allocate(_gate_shapes(c_g, c_x, width), rng, np.dtype(dtype))
 
 
-_GATE_CACHE_KEYS = frozenset(
-    {"conv_g", "conv_x", "add", "relu", "bn", "sigmoid", "conv_rho", "mul",
-     "psi", "psi_act", "psi_norm", "alpha", "rho"}
-)
+class Tape:
+    """Reverse-mode record of one forward pass (Baydin et al., arXiv:1502.05767).
+
+    Values are named by integer slots: 0 .. n_inputs-1 are the inputs and
+    each recorded op adds one slot, its output.  An entry is (backward,
+    cache, input slots, parameter names).  The tape holds caches, never
+    activations, so each activation is freed once its consumers have read
+    it.  Ops are looked up on the ops module when they are recorded.
+    """
+
+    def __init__(self, params: dict, n_inputs: int):
+        self.params = params
+        self.n_inputs = n_inputs
+        self.entries = []
+
+    def record(self, backward, cache, slots, names):
+        """Append one op; returns the slot of its output."""
+        self.entries.append((backward, cache, tuple(slots), tuple(names)))
+        return self.n_inputs + len(self.entries) - 1
+
+    def run(self, op, *inputs, params=(), **kwargs):
+        """ops.<op>_forward on the (value, slot) inputs, then the named
+        parameters; returns (output, slot)."""
+        out, cache = getattr(ops, f"{op}_forward")(
+            *(value for value, _ in inputs), *(self.params[n] for n in params), **kwargs)
+        return out, self.record(getattr(ops, f"{op}_backward"), cache,
+                                (slot for _, slot in inputs), params)
+
+    def batchnorm(self, h, stats, name, train):
+        """Batch norm `name` on (value, slot) h; returns ((output, slot),
+        new running mean, new running var)."""
+        names = (f"{name}.gamma", f"{name}.beta")
+        out, mean, var, cache = ops.batchnorm_forward(
+            h[0], *(self.params[n] for n in names),
+            stats[f"{name}.mean"], stats[f"{name}.var"], train)
+        return (out, self.record(ops.batchnorm_backward, cache, (h[1],), names)), mean, var
+
+    def replay(self, gy):
+        """Walk the tape in reverse from gy, the gradient of its last output.
+
+        Returns (gradients keyed by parameter name, gradients of the
+        inputs).  A slot read by several ops gets their gradients summed in
+        arrival order.  A backward that returns its parameter gradients as
+        a dict (a gate with its own tape) has them stored as "<name>.<key>".
+        The tape is not changed, so replaying it twice gives the same bits.
+        """
+        pending = {self.n_inputs + len(self.entries) - 1: gy}
+        grads = {}
+        for out_slot, (backward, cache, slots, names) in reversed(
+                list(enumerate(self.entries, start=self.n_inputs))):
+            out = backward(cache, pending.pop(out_slot))
+            out = out if isinstance(out, tuple) else (out,)
+            for slot, g in zip(slots, out):
+                pending[slot] = pending[slot] + g if slot in pending else g
+            for name, g in zip(names, out[len(slots):]):
+                if isinstance(g, dict):
+                    grads.update((f"{name}.{k}", v) for k, v in g.items())
+                else:
+                    grads[name] = g
+        return grads, [pending[slot] for slot in range(self.n_inputs)]
+
+
+_GATE_CACHE_KEYS = frozenset({"tape", "psi", "psi_act", "psi_norm", "alpha", "rho"})
 
 
 def attention_gate_forward(g, x_i, params, stats, train: bool = False):
@@ -145,29 +206,23 @@ def attention_gate_forward(g, x_i, params, stats, train: bool = False):
     ReLU(psi); psi_norm = BatchNorm(psi_act); alpha = sigmoid(psi_norm);
     rho = conv1x1(alpha) down to one channel; output = rho * x_i with
     channel broadcast.  Returns (output, (new_bn_mean, new_bn_var),
-    cache); the cache keeps every intermediate under its own key so
-    tests can inspect the trace.
+    cache); the cache holds the gate's own two-input tape and keeps each
+    intermediate under its own key so tests can inspect the trace.
     """
     if g.ndim != 4 or x_i.ndim != 4 or g.shape[0] != x_i.shape[0] \
             or g.shape[2:] != x_i.shape[2:]:
         raise ShapeError(f"gate inputs misaligned: g {g.shape}, x {x_i.shape}")
-    gt, c_g = ops.conv2d_forward(g, params["wg.w"], params["wg.b"])
-    xt, c_x = ops.conv2d_forward(x_i, params["wx.w"], params["wx.b"])
-    psi, c_add = ops.add_forward(gt, xt)
-    psi_act, c_relu = ops.relu_forward(psi)
-    psi_norm, new_mean, new_var, c_bn = ops.batchnorm_forward(
-        psi_act, params["bn.gamma"], params["bn.beta"],
-        stats["bn.mean"], stats["bn.var"], train,
-    )
-    alpha, c_sig = ops.sigmoid_forward(psi_norm)
-    rho, c_rho = ops.conv2d_forward(alpha, params["wr.w"], params["wr.b"])
-    out, c_mul = ops.mul_forward(rho, x_i)
-    cache = {
-        "conv_g": c_g, "conv_x": c_x, "add": c_add, "relu": c_relu,
-        "bn": c_bn, "sigmoid": c_sig, "conv_rho": c_rho, "mul": c_mul,
-        "psi": psi, "psi_act": psi_act, "psi_norm": psi_norm,
-        "alpha": alpha, "rho": rho,
-    }
+    tape = Tape(params, 2)
+    x = (x_i, 1)
+    psi = tape.run("add", tape.run("conv2d", (g, 0), params=("wg.w", "wg.b")),
+                   tape.run("conv2d", x, params=("wx.w", "wx.b")))
+    psi_act = tape.run("relu", psi)
+    psi_norm, new_mean, new_var = tape.batchnorm(psi_act, stats, "bn", train)
+    alpha = tape.run("sigmoid", psi_norm)
+    rho = tape.run("conv2d", alpha, params=("wr.w", "wr.b"))
+    out, _ = tape.run("mul", rho, x)
+    cache = {"tape": tape, "psi": psi[0], "psi_act": psi_act[0],
+             "psi_norm": psi_norm[0], "alpha": alpha[0], "rho": rho[0]}
     return out, (new_mean, new_var), cache
 
 
@@ -175,21 +230,8 @@ def attention_gate_backward(cache, gy):
     """Returns (grad_g, grad_x, param grads keyed like init_gate_params)."""
     if not isinstance(cache, dict) or not _GATE_CACHE_KEYS <= cache.keys():
         raise StateError("cache does not come from attention_gate_forward")
-    g_rho, g_x_direct = ops.mul_backward(cache["mul"], gy)
-    g_alpha, g_wr, g_br = ops.conv2d_backward(cache["conv_rho"], g_rho)
-    g_norm = ops.sigmoid_backward(cache["sigmoid"], g_alpha)
-    g_act, g_gamma, g_beta = ops.batchnorm_backward(cache["bn"], g_norm)
-    g_psi = ops.relu_backward(cache["relu"], g_act)
-    g_gt, g_xt = ops.add_backward(cache["add"], g_psi)
-    g_g, g_wg, g_bg = ops.conv2d_backward(cache["conv_g"], g_gt)
-    g_x_proj, g_wx, g_bx = ops.conv2d_backward(cache["conv_x"], g_xt)
-    grads = {
-        "wg.w": g_wg, "wg.b": g_bg,
-        "wx.w": g_wx, "wx.b": g_bx,
-        "bn.gamma": g_gamma, "bn.beta": g_beta,
-        "wr.w": g_wr, "wr.b": g_br,
-    }
-    return g_g, g_x_direct + g_x_proj, grads
+    grads, (g_g, g_x) = cache["tape"].replay(gy)
+    return g_g, g_x, grads
 
 
 class AttentionUNet:
@@ -206,61 +248,25 @@ class AttentionUNet:
         """Exhaustive enumeration of trainable scalars."""
         return sum(int(p.size) for p in self.params.values())
 
-    # -- block helpers ------------------------------------------------
-
-    def _conv_bn_relu_fwd(self, h, stages, train):
+    def _conv_bn_relu(self, tape, h, stages, train):
         """3x3 conv (pad 1) -> batch norm -> ReLU once per (conv, bn) name
-        prefix pair in stages; returns (h, cache).
+        prefix pair in stages, on the tape; returns (h, slot).
 
         Train mode refreshes the running statistics.  h is rebound stage by
         stage: the conv caches its own padded copy, so each activation is
         freed as soon as the next conv has read it, which bounds peak memory.
         """
-        p, s = self.params, self.stats
-        cache = []
         for conv, bn in stages:
-            h, c_conv = ops.conv2d_forward(h, p[f"{conv}.w"], p[f"{conv}.b"], padding=1)
-            h, new_mean, new_var, c_bn = ops.batchnorm_forward(
-                h, p[f"{bn}.gamma"], p[f"{bn}.beta"], s[f"{bn}.mean"], s[f"{bn}.var"], train,
-            )
+            h = tape.run("conv2d", h, params=(f"{conv}.w", f"{conv}.b"), padding=1)
+            h, new_mean, new_var = tape.batchnorm(h, self.stats, bn, train)
             if train:
-                s[f"{bn}.mean"] = new_mean
-                s[f"{bn}.var"] = new_var
-            h, c_relu = ops.relu_forward(h)
-            cache.append((conv, bn, c_conv, c_bn, c_relu))
-        return h, cache
-
-    def _conv_bn_relu_bwd(self, cache, g, grads):
-        for conv, bn, c_conv, c_bn, c_relu in reversed(cache):
-            g = ops.relu_backward(c_relu, g)
-            g, grads[f"{bn}.gamma"], grads[f"{bn}.beta"] = ops.batchnorm_backward(c_bn, g)
-            g, grads[f"{conv}.w"], grads[f"{conv}.b"] = ops.conv2d_backward(c_conv, g)
-        return g
-
-    def _dconv_fwd(self, x, prefix, train):
-        stages = ((f"{prefix}.conv1", f"{prefix}.bn1"), (f"{prefix}.conv2", f"{prefix}.bn2"))
-        return self._conv_bn_relu_fwd(x, stages, train)
-
-    def _up_fwd(self, x, prefix, train):
-        if self.config.upsample == "transposed":
-            return ops.transposed_conv2x_forward(
-                x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
-        h, c_up = ops.nearest_upsample2x_forward(x)
-        h, c = self._conv_bn_relu_fwd(h, ((f"{prefix}.conv", f"{prefix}.bn"),), train)
-        return h, (c_up, c)
-
-    def _up_bwd(self, cache, gy, grads, prefix):
-        if self.config.upsample == "transposed":
-            g, grads[f"{prefix}.w"], grads[f"{prefix}.b"] = \
-                ops.transposed_conv2x_backward(cache, gy)
-            return g
-        c_up, c = cache
-        return ops.nearest_upsample2x_backward(c_up, self._conv_bn_relu_bwd(c, gy, grads))
-
-    # -- full passes --------------------------------------------------
+                self.stats[f"{bn}.mean"] = new_mean
+                self.stats[f"{bn}.var"] = new_var
+            h = tape.run("relu", h)
+        return h
 
     def forward(self, x, train: bool = False):
-        """(N, in_channels, H, W) -> probabilities (N, 1, H, W) in (0, 1).
+        """(N, in_channels, H, W) -> (probabilities (N, 1, H, W) in (0, 1), tape).
 
         Spatial dims must be multiples of 2^(depth-1).  Train mode
         refreshes this model's batch-norm running statistics.
@@ -276,58 +282,44 @@ class AttentionUNet:
             raise ShapeError(
                 f"spatial dims must be multiples of {unit}, got {x.shape[2:]}"
             )
-        caches = {}
-        skips = []
-        h = x
-        for i in range(cfg.depth - 1):
-            h, caches[f"enc{i}"] = self._dconv_fwd(h, f"enc{i}", train)
-            skips.append(h)
-            h, caches[f"pool{i}"] = ops.maxpool2x2_forward(h)
-        h, caches["bottleneck"] = self._dconv_fwd(h, "bottleneck", train)
-        for i in range(cfg.depth - 2, -1, -1):
-            h, caches[f"dec{i}.up"] = self._up_fwd(h, f"dec{i}.up", train)
-            gated, (new_mean, new_var), caches[f"dec{i}.gate"] = attention_gate_forward(
-                h, skips[i],
-                _group(self.params, f"dec{i}.gate"),
-                _group(self.stats, f"dec{i}.gate"),
-                train,
-            )
-            if train:
-                self.stats[f"dec{i}.gate.bn.mean"] = new_mean
-                self.stats[f"dec{i}.gate.bn.var"] = new_var
-            h, caches[f"dec{i}.cat"] = ops.concat_channels_forward(gated, h)
-            h, caches[f"dec{i}"] = self._dconv_fwd(h, f"dec{i}", train)
-        y, caches["head"] = ops.conv2d_forward(
-            h, self.params["head.w"], self.params["head.b"]
-        )
-        out, caches["out"] = ops.sigmoid_forward(y)
-        return out, caches
+        tape = Tape(self.params, 1)
 
-    def backward(self, caches, gy):
-        """Returns (grads keyed like params, gradient w.r.t. the input)."""
-        cfg = self.config
-        grads = {}
-        g = ops.sigmoid_backward(caches["out"], gy)
-        g, gw, gb = ops.conv2d_backward(caches["head"], g)
-        grads["head.w"] = gw
-        grads["head.b"] = gb
-        skip_grads = [None] * (cfg.depth - 1)
+        def dconv(h, prefix):
+            return self._conv_bn_relu(tape, h, ((f"{prefix}.conv1", f"{prefix}.bn1"),
+                                                (f"{prefix}.conv2", f"{prefix}.bn2")), train)
+
+        skips = []
+        h = (x, 0)
         for i in range(cfg.depth - 1):
-            g = self._conv_bn_relu_bwd(caches[f"dec{i}"], g, grads)
-            g_gated, g_up = ops.concat_channels_backward(caches[f"dec{i}.cat"], g)
-            g_dec, g_skip, gate_grads = attention_gate_backward(
-                caches[f"dec{i}.gate"], g_gated
-            )
-            for k, v in gate_grads.items():
-                grads[f"dec{i}.gate.{k}"] = v
-            skip_grads[i] = g_skip
-            g = self._up_bwd(caches[f"dec{i}.up"], g_up + g_dec, grads, f"dec{i}.up")
-        g = self._conv_bn_relu_bwd(caches["bottleneck"], g, grads)
+            h = dconv(h, f"enc{i}")
+            skips.append(h)
+            h = tape.run("maxpool2x2", h)
+        h = dconv(h, "bottleneck")
         for i in range(cfg.depth - 2, -1, -1):
-            g = ops.maxpool2x2_backward(caches[f"pool{i}"], g)
-            g = g + skip_grads[i]
-            g = self._conv_bn_relu_bwd(caches[f"enc{i}"], g, grads)
-        return grads, g
+            up, gate = f"dec{i}.up", f"dec{i}.gate"
+            if cfg.upsample == "transposed":
+                h = tape.run("transposed_conv2x", h, params=(f"{up}.w", f"{up}.b"))
+            else:
+                h = self._conv_bn_relu(tape, tape.run("nearest_upsample2x", h),
+                                       ((f"{up}.conv", f"{up}.bn"),), train)
+            skip = skips.pop()
+            gated, (new_mean, new_var), cache = attention_gate_forward(
+                h[0], skip[0], _group(self.params, gate), _group(self.stats, gate), train)
+            if train:
+                self.stats[f"{gate}.bn.mean"] = new_mean
+                self.stats[f"{gate}.bn.var"] = new_var
+            gated = gated, tape.record(attention_gate_backward, cache, (h[1], skip[1]), (gate,))
+            h = dconv(tape.run("concat_channels", gated, h), f"dec{i}")
+        h = tape.run("conv2d", h, params=("head.w", "head.b"))
+        out, _ = tape.run("sigmoid", h)
+        return out, tape
+
+    def backward(self, tape, gy):
+        """Returns (grads keyed like params, gradient w.r.t. the input)."""
+        if not isinstance(tape, Tape) or tape.params is not self.params:
+            raise StateError("tape does not come from this model's forward")
+        grads, (gx,) = tape.replay(gy)
+        return grads, gx
 
 
 def parameter_shapes(config: AttentionUNetConfig):
@@ -526,10 +518,10 @@ def gradcheck_suite(seed: int = 0):
                 if pname.endswith(".b") or pname.endswith(".beta"):
                     value[...] = nrng.uniform(0.05, 0.2, value.shape) \
                         * nrng.choice([-1.0, 1.0], size=value.shape)
-            _, probe_caches = model.forward(xm, train=True)
-            margin = min(
-                float(np.abs(probe_caches[f"dec{i}.gate"]["psi"]).min())
-                for i in range(cfg.depth - 1))
+            _, probe_tape = model.forward(xm, train=True)
+            margin = min(float(np.abs(cache["psi"]).min())
+                         for backward, cache, _, _ in probe_tape.entries
+                         if backward is attention_gate_backward)
             if margin > 1e-3:
                 break
         names = sorted(model.params)
@@ -540,8 +532,8 @@ def gradcheck_suite(seed: int = 0):
             return float((out * rm).sum())
 
         def model_grad(model=model, xm=xm, rm=rm, names=names):
-            out, caches = model.forward(xm, train=True)
-            grads, gx_in = model.backward(caches, rm)
+            out, tape = model.forward(xm, train=True)
+            grads, gx_in = model.backward(tape, rm)
             return [gx_in] + [grads[k] for k in names]
 
         reports.append(_gradcheck(

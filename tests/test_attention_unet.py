@@ -15,7 +15,7 @@ from quanvseg.exceptions import (
     ShapeError,
     StateError,
 )
-from quanvseg.nn import adam_step, bce_loss, init_adam
+from quanvseg.nn import adam_step, bce_loss, init_adam, ops
 from quanvseg.nn.gradcheck import gradcheck
 from quanvseg.nn.metrics import overall_accuracy
 from quanvseg.qsim.circuits import build_circuit, serialize_circuit
@@ -338,11 +338,52 @@ def test_forward_shapes_and_range(kind):
     cfg = AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind)
     model = build_model(cfg, seed=0)
     x = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
-    out, caches = model.forward(x)
+    out, tape = model.forward(x)
     assert out.shape == (1, 1, 64, 64)
     assert np.all(out > 0.0) and np.all(out < 1.0)
-    assert {"enc0", "enc1", "bottleneck", "dec0", "dec1", "head", "out"} \
-        <= caches.keys()
+    # one conv2d entry per kernel outside the gates and the transposed
+    # upsampling, and one gate entry per decoder level
+    kernels = [name for _, name, _ in parameter_shapes(cfg)
+               if name.endswith(".w") and ".gate." not in name
+               and not name.endswith(".up.w")]
+    convs = [names[0] for backward, _, _, names in tape.entries
+             if backward is ops.conv2d_backward]
+    assert sorted(convs) == sorted(kernels)
+    gates = [(names, cache) for backward, cache, _, names in tape.entries
+             if backward is attention_gate_backward]
+    assert [names for names, _ in gates] == [("dec1.gate",), ("dec0.gate",)]
+    for _, cache in gates:
+        gate_convs = [names for backward, _, _, names in cache["tape"].entries
+                      if backward is ops.conv2d_backward]
+        assert gate_convs == [("wg.w", "wg.b"), ("wx.w", "wx.b"), ("wr.w", "wr.b")]
+
+
+@pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
+def test_backward_replay_is_pure(kind):
+    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind),
+                        seed=1)
+    rng = np.random.default_rng(2)
+    out, tape = model.forward(rng.uniform(size=(2, 1, 16, 16)), train=True)
+    gy = rng.normal(size=out.shape).astype(out.dtype)
+    grads1, gx1 = model.backward(tape, gy)
+    grads2, gx2 = model.backward(tape, gy)
+    assert grads1.keys() == grads2.keys() == model.params.keys()
+    for name in grads1:
+        assert grads1[name].tobytes() == grads2[name].tobytes(), name
+    assert gx1.tobytes() == gx2.tobytes()
+
+
+def test_backward_rejects_foreign_tape():
+    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    gy = np.zeros((1, 1, 8, 8))
+    with pytest.raises(StateError):
+        model.backward({}, gy)
+    with pytest.raises(StateError):
+        model.backward("nonsense", gy)
+    other = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    _, tape = other.forward(np.zeros((1, 1, 8, 8)))
+    with pytest.raises(StateError):
+        model.backward(tape, gy)
 
 
 def test_forward_accepts_nine_channel_input():
@@ -536,6 +577,44 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     (prefix.parent / "ckpt.manifest").write_text("\n".join(kept) + "\n")
     with pytest.raises(FileFormatError, match="head.b"):
         load_checkpoint(prefix)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import quanvseg.checkpoint as checkpoint
+
+    cfg = AttentionUNetConfig(depth=2, widths=(4, 8))
+    model = build_model(cfg, seed=1)
+    prefix = tmp_path / "ckpt"
+    save_checkpoint(prefix, model)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    original = checkpoint.tensor_to_bytes
+    calls = []
+
+    def failing(array):
+        calls.append(array)
+        if len(calls) == 3:
+            raise OSError("disk gone")
+        return original(array)
+
+    monkeypatch.setattr(checkpoint, "tensor_to_bytes", failing)
+    with pytest.raises(OSError, match="disk gone"):
+        save_checkpoint(prefix, build_model(cfg, seed=2))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded, _ = load_checkpoint(prefix)
+    for k in model.params:
+        npt.assert_array_equal(loaded.params[k], model.params[k])
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    import quanvseg.checkpoint as checkpoint
+
+    def failing(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(checkpoint.os, "replace", failing)
+    with pytest.raises(OSError, match="replace refused"):
+        save_checkpoint(tmp_path / "ckpt", build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_missing_file_raises_oserror(tmp_path):

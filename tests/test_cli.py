@@ -11,7 +11,7 @@ import pytest
 
 from quanvseg.checkpoint import save_checkpoint
 from quanvseg.cli import DEFAULTS, build_parser, load_config, main
-from quanvseg.fileio import read_pgm, read_tensor, write_pgm
+from quanvseg.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 from quanvseg.qsim.circuits import build_circuit, serialize_circuit
 from quanvseg.quanvolution import QuanvConfig
 from quanvseg.unet import AttentionUNetConfig, build_model, count_params
@@ -484,6 +484,44 @@ def test_non_ascii_circuit_in_exits_1(workdir, tmp_path, capsys):
     code = main(["quanvolve", "--input", workdir["scene"],
                  "--output", str(tmp_path / "o.qvt1"), "--circuit-in", str(circuit)])
     assert_located_error(capsys, code, 1, circuit, at)
+
+
+# ---------------------------------------------------------------------
+# Malformed binary inputs: the error names the file
+
+
+def corrupt_magic(path, magic):
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(magic + data[len(magic):])
+
+
+def test_bad_patch_stack_names_file_exits_1(workdir, tmp_path, capsys):
+    patches = tmp_path / "patches"
+    shutil.copytree(workdir["patches"], patches)
+    corrupt_magic(patches / "images.qvt1", b"QVX1")
+    code = main(["train", "--patches", str(patches),
+                 "--checkpoint-out", str(tmp_path / "model")] + FAST_MODEL + FAST_TRAIN)
+    assert_located_error(capsys, code, 1, patches / "images.qvt1", 0)
+
+
+@pytest.mark.parametrize("suffix, magic", [(".pgm", b"P6"), (".qvt1", b"QVX1")])
+def test_bad_quanvolve_input_names_file_exits_1(workdir, tmp_path, capsys, suffix, magic):
+    raster = tmp_path / f"scene{suffix}"
+    if suffix == ".pgm":
+        shutil.copy(workdir["scene"], raster)
+    else:
+        write_tensor(raster, np.full((8, 8), 0.5))
+    corrupt_magic(raster, magic)
+    code = main(["quanvolve", "--input", str(raster), "--output", str(tmp_path / "o.qvt1")])
+    assert_located_error(capsys, code, 1, raster, 0)
+
+
+def test_bad_checkpoint_tensors_names_file_exits_1(workdir, tmp_path, capsys):
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    corrupt_magic(prefix + ".tensors", b"QVX1")
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert_located_error(capsys, code, 1, prefix + ".tensors", 0)
 
 
 def test_non_ascii_config_exits_2(tmp_path, capsys):
