@@ -27,6 +27,18 @@ n = 12 it took 0.75-1.8 s plus 0.23-0.52 s (229 MB peak), and at n = 13
 1.9-4.7 s plus 0.5-0.9 s (389 MB).  At n = 14 the compile alone took
 5.6 s and the peak reached 710 MB, so the cap stops at 13.
 
+Both plans encode windows with _product_states: the real product states
+over the first m // 2 qubits and over the rest each come from a short
+ladder, and one outer product of the two writes the 2**m amplitudes in
+place.  The dense plan writes them into a (chunk, 2**m) buffer that it
+reuses across chunks, as it reuses its GEMM buffers; the statevector
+plan writes them into the amplitudes j << (n - m) of its zeroed batch.
+At m = n = 9 on 2 cores, one 2048-window chunk's states took 11-12 ms
+as an m-step ladder of stacks and take about 3 ms this way, against
+9-10 ms for the 2048 x 512 x 512 GEMM they feed; a 64x64 quanvolve
+(2 layers) fell from 51-62 to 36-37 ms with basic_entangled and from
+76-81 to 54-63 ms with strongly_entangled.
+
 quanvolve reaches run_windows through kernel() on every call, so a
 wrapper installed on kernel (perfbench/tracing.py times run_windows that
 way) sees every evaluation.
@@ -43,7 +55,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .qsim.circuits import CircuitSpec
-from .qsim.state import apply_gates_batch, rotate_batch
+from .qsim.state import apply_gates_batch
 
 # Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles.
 DENSE_MAX_AMPLITUDES = 1 << 22
@@ -101,21 +113,47 @@ def _transfer_matrix(spec: CircuitSpec, n_encoded: int):
     return re, im, signs
 
 
+def _ladder(cos, sin):
+    """Real product states (N, 2**k) from per-qubit cos and sin (N, k)."""
+    psi = np.ones((cos.shape[0], 1))
+    for q in range(cos.shape[1]):
+        psi = np.stack((psi * cos[:, q:q + 1], psi * sin[:, q:q + 1]), axis=2)
+        psi = psi.reshape(cos.shape[0], -1)
+    return psi
+
+
+def _product_states(enc, out=None):
+    """Real product states (N, 2**m) of windows encoded on m qubits (N, m).
+
+    Qubit 0 is the most significant factor.  The states over the first
+    m // 2 qubits and over the rest come from a short ladder each; one
+    outer product of the two writes the 2**m amplitudes into out (a new
+    array if None, else any (N, 2**m) array or view).
+    """
+    n_windows, m = enc.shape
+    half = 0.5 * enc
+    cos, sin = np.cos(half), np.sin(half)
+    head = _ladder(cos[:, :m // 2], sin[:, :m // 2])
+    tail = _ladder(cos[:, m // 2:], sin[:, m // 2:])
+    if out is None:
+        out = np.empty((n_windows, 1 << m))
+    # Splitting the column axis of out is always a view, never a copy.
+    split = out.reshape(n_windows, head.shape[1], tail.shape[1])
+    np.multiply(head[:, :, None], tail[:, None, :], out=split)
+    return out
+
+
 def _dense_windows(enc, spec):
     """Z expectations (N, n) of windows encoded on m qubits (N, m), via V."""
     n_windows, m = enc.shape
     re, im, signs = _transfer_matrix(spec, m)
     out = np.empty((n_windows, spec.n_qubits))
-    # One (chunk, 2**n) buffer per GEMM, reused by every chunk.
-    buffers = np.empty((1 if im is None else 2, min(n_windows, _CHUNK), re.shape[1]))
+    # The states and one (chunk, 2**n) buffer per GEMM, reused by every chunk.
+    rows = min(n_windows, _CHUNK)
+    states = np.empty((rows, 1 << m))
+    buffers = np.empty((1 if im is None else 2, rows, re.shape[1]))
     for lo, hi in _chunks(n_windows):
-        half = 0.5 * enc[lo:hi]
-        cos, sin = np.cos(half), np.sin(half)
-        # Real product state, qubit 0 as the most significant factor.
-        psi = np.ones((hi - lo, 1))
-        for q in range(m):
-            psi = np.stack((psi * cos[:, q:q + 1], psi * sin[:, q:q + 1]), axis=2)
-            psi = psi.reshape(hi - lo, -1)
+        psi = _product_states(enc[lo:hi], out=states[:hi - lo])
         probs = np.matmul(psi, re, out=buffers[0, :hi - lo])
         np.square(probs, out=probs)
         if im is not None:
@@ -133,10 +171,8 @@ def _statevector_windows(enc, spec):
 
     def run(lo, hi):
         psi = np.zeros((hi - lo, 1 << n), dtype=np.complex128)
-        psi[:, 0] = 1.0
-        half = 0.5 * enc[lo:hi]
-        for q in range(m):
-            rotate_batch(psi, "RY", q, np.cos(half[:, q]), np.sin(half[:, q]))
+        # Amplitudes j << (n - m): the encoded qubits spell j, the rest are 0.
+        _product_states(enc[lo:hi], out=psi.reshape(hi - lo, 1 << m, -1)[:, :, 0])
         apply_gates_batch(psi, spec.gates)
         probs = psi.real**2 + psi.imag**2
         for q in range(n):

@@ -2,20 +2,29 @@
 records.
 
 `<prefix>.manifest` holds the architecture header, optional
-quanvolution settings, and one line per tensor:
+quanvolution settings, one line per tensor:
 
     param <name> <dims-comma-separated> <byte-offset>
     stat  <name> <dims> <byte-offset>
 
-Offsets point into `<prefix>.tensors`.  When the model was trained on
-quanvoluted input, the frozen circuit is written to `<prefix>.circuit`
-and referenced from the manifest, so evaluation and prediction can
-rebuild the exact preprocessing.
+and, last, the size and zlib.crc32 of the tensors file it describes:
+
+    tensors.bytes <n>
+    tensors.crc32 <8 hex digits>
+
+Offsets point into `<prefix>.tensors`.  The files are replaced one at a
+time, so a save cut short can leave a new `.tensors` under an old
+manifest; the size and checksum catch that pair on load.  When the model
+was trained on quanvoluted input, the frozen circuit is written to
+`<prefix>.circuit` and referenced from the manifest, so evaluation and
+prediction can rebuild the exact preprocessing.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import zlib
 
 import numpy as np
 
@@ -38,7 +47,8 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
     """Write `<prefix>.tensors` (and `.circuit` if given), then `.manifest`.
 
     Every file is built in memory and replaced atomically, so a save that
-    fails before its first write leaves the previous checkpoint loadable.
+    fails before its first write leaves the previous checkpoint loadable,
+    and one that fails after it leaves a set that load_checkpoint rejects.
     """
     prefix = str(prefix)
     cfg = model.config
@@ -65,6 +75,8 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
             dims = ",".join(str(d) for d in arr.shape)
             lines.append(f"{kind} {name} {dims} {len(blob)}")
             blob += tensor_to_bytes(np.asarray(arr))
+    lines.append(f"tensors.bytes {len(blob)}")
+    lines.append(f"tensors.crc32 {zlib.crc32(blob):08x}")
     _write_atomic(prefix + ".tensors", bytes(blob))
     if circuit_text is not None:
         _write_atomic(prefix + ".circuit", circuit_text.encode("ascii"))
@@ -156,8 +168,26 @@ def load_checkpoint(prefix):
     except TypeError:
         raise FileFormatError(f"{prefix}.manifest: unknown dtype {dtype_text!r}") from None
 
+    for key in ("tensors.bytes", "tensors.crc32"):
+        if key not in header:
+            raise FileFormatError(f"manifest missing header {key!r}")
+    n_bytes = header_int("tensors.bytes")
+    crc_text, where = header["tensors.crc32"]
+    if not re.fullmatch(r"[0-9a-f]{8}", crc_text):
+        raise FileFormatError(f"{where}: expected 8 hex digits, got {crc_text!r}")
+
     with open(prefix + ".tensors", "rb") as fh:
         blob = fh.read()
+    crc = zlib.crc32(blob)
+    mismatch = FileFormatError(
+        f"{prefix}.tensors: holds {len(blob)} bytes with crc32 {crc:08x}, but "
+        f"the manifest says {n_bytes} bytes with crc32 {crc_text}; the two "
+        "files are not from the same save"
+    )
+    # A file of the wrong size is reported before its records are read; a
+    # corrupt record header is reported at its offset before the checksum.
+    if len(blob) != n_bytes:
+        raise mismatch
     loaded: dict[str, tuple[str, np.ndarray]] = {}
     with located(prefix + ".tensors"):
         for kind, name, shape, offset in tensor_lines:
@@ -169,6 +199,8 @@ def load_checkpoint(prefix):
                     offset=offset,
                 )
             loaded[name] = (kind, arr.astype(dtype, copy=False))
+    if crc != int(crc_text, 16):
+        raise mismatch
 
     params: dict[str, np.ndarray] = {}
     stats: dict[str, np.ndarray] = {}

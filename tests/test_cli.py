@@ -391,6 +391,11 @@ MANIFEST_DEFECTS = {
     "repeated-tensor": (r"^(param enc0\.conv1\.b .*)$", r"\1\n\1",
                         "line 10: repeated tensor 'enc0.conv1.b'"),
     "repeated-header": (r"^(depth 2)$", r"\1\n\1", "line 4: repeated header 'depth'"),
+    "tensors-bytes": (r"^tensors\.bytes \d+$", "tensors.bytes many", "expected an integer"),
+    "tensors-crc32": (r"^tensors\.crc32 [0-9a-f]{8}$", "tensors.crc32 1234567g",
+                      "expected 8 hex digits"),
+    "no-tensors-bytes": (r"^tensors\.bytes \d+\n", "", "manifest missing header 'tensors.bytes'"),
+    "no-tensors-crc32": (r"^tensors\.crc32 \w+\n", "", "manifest missing header 'tensors.crc32'"),
 }
 
 
@@ -410,11 +415,11 @@ def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     assert err.startswith("error: ") and message in err
 
 
-def quanv_checkpoint(prefix):
+def quanv_checkpoint(prefix, seed=0):
     spec = build_circuit("basic_entangled", 4, 1, seed=2)
     qcfg = QuanvConfig(circuit=spec, kernel_size=2, stride=1,
                        padding="same-reflect", rescale=True)
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=4))
+    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=4), seed=seed)
     save_checkpoint(prefix, model, quanv_config=qcfg, circuit_text=serialize_circuit(spec))
 
 
@@ -522,6 +527,57 @@ def test_bad_checkpoint_tensors_names_file_exits_1(workdir, tmp_path, capsys):
     corrupt_magic(prefix + ".tensors", b"QVX1")
     code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
     assert_located_error(capsys, code, 1, prefix + ".tensors", 0)
+
+
+# ---------------------------------------------------------------------
+# Checkpoint files that are not one save's set: exit 1 naming .tensors
+
+
+def assert_not_one_set(capsys, code, prefix):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{prefix}.tensors: holds" in err and "not from the same save" in err
+
+
+def test_save_cut_after_tensors_replace_exits_1(workdir, tmp_path, capsys, monkeypatch):
+    import quanvseg.checkpoint as checkpoint
+
+    prefix = str(tmp_path / "qckpt")
+    quanv_checkpoint(prefix, seed=1)
+    old_size = os.path.getsize(prefix + ".tensors")
+    replace = os.replace
+    targets = []
+
+    def cut_on_second_call(src, dst):
+        targets.append(dst)
+        if len(targets) == 2:
+            raise OSError("power cut")
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", cut_on_second_call)
+    with pytest.raises(OSError, match="power cut"):
+        quanv_checkpoint(prefix, seed=2)
+    monkeypatch.undo()
+    # New weights of the same layout now sit under the old circuit and manifest.
+    assert targets == [prefix + ".tensors", prefix + ".circuit"]
+    assert os.path.getsize(prefix + ".tensors") == old_size
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert_not_one_set(capsys, code, prefix)
+
+
+@pytest.mark.parametrize("edit", ["truncate", "flip-last-byte"])
+def test_tensors_not_matching_manifest_exit_1(workdir, tmp_path, capsys, edit):
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    data = Path(prefix + ".tensors").read_bytes()
+    if edit == "truncate":
+        data = data[:-1]
+    else:
+        data = data[:-1] + bytes([data[-1] ^ 1])
+    Path(prefix + ".tensors").write_bytes(data)
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert_not_one_set(capsys, code, prefix)
 
 
 def test_non_ascii_config_exits_2(tmp_path, capsys):

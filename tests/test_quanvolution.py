@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +28,7 @@ from quanvseg.backend import (
     _CHUNK,
     _PLANS,
     DENSE_MAX_AMPLITUDES,
+    _product_states,
     _transfer_matrix,
     backend_name,
     plan_name,
@@ -262,8 +264,8 @@ def oracle_expectations(spec, enc):
     return probs.T @ (1.0 - 2.0 * bits)
 
 
-@pytest.mark.parametrize("n_qubits, n_encoded", [(4, 4), (9, 9), (6, 4)],
-                         ids=["4", "9", "6-on-4"])
+@pytest.mark.parametrize("n_qubits, n_encoded", [(4, 4), (9, 9), (6, 4), (3, 1), (7, 5)],
+                         ids=["4", "9", "6-on-4", "3-on-1", "7-on-5"])
 @pytest.mark.parametrize("template", TEMPLATES)
 @pytest.mark.parametrize("plan", sorted(_PLANS))
 def test_plan_matches_window_oracle(plan, template, n_qubits, n_encoded):
@@ -277,6 +279,59 @@ def test_plan_matches_window_oracle(plan, template, n_qubits, n_encoded):
     assert got.shape == (40, n_qubits)
     full = np.pad(enc, ((0, 0), (0, n_qubits - n_encoded)))
     npt.assert_allclose(got, oracle_expectations(circuit, full), atol=1e-9)
+
+
+@pytest.mark.parametrize("n_encoded", range(1, 11))
+def test_product_states_match_kron_ladder(n_encoded):
+    enc = math.pi * np.random.default_rng(n_encoded).uniform(size=(6, n_encoded))
+    enc[0] = 0.0
+    enc[1] = math.pi
+    want = []
+    for angles in enc:
+        psi = np.ones(1)
+        for theta in angles:
+            psi = np.kron(psi, [math.cos(theta / 2), math.sin(theta / 2)])
+        want.append(psi)
+    got = _product_states(enc)
+    assert got.shape == (6, 1 << n_encoded)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-15)
+    # The same states written into a strided view, as the statevector plan does.
+    psi = np.zeros((6, 1 << (n_encoded + 2)), dtype=np.complex128)
+    _product_states(enc, out=psi.reshape(6, 1 << n_encoded, -1)[:, :, 0])
+    npt.assert_array_equal(psi[:, ::4], got)
+    assert not psi.reshape(6, 1 << n_encoded, -1)[:, :, 1:].any()
+
+
+def test_dense_plan_last_chunk_of_one_window_matches_oracle():
+    """Three chunks, the last of them a single window, reusing the buffers."""
+    circuit = build_circuit("strongly_entangled", 5, 2, seed=17)
+    assert plan_name(5, 5) == "dense"
+    enc = math.pi * np.random.default_rng(17).uniform(size=(2 * _CHUNK + 1, 5))
+    got = _PLANS["dense"](enc, circuit)
+    npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
+
+
+def test_dense_plan_allocates_no_per_chunk_temporaries():
+    """Peak traced allocation of a three-chunk call at m = n = 9.
+
+    basic_entangled has a real transfer matrix, so the plan holds one
+    (chunk, 512) state buffer and one (chunk, 512) GEMM buffer; every other
+    array is a small fraction of one.  Per-chunk full-size temporaries
+    (a ladder of stacks, fresh GEMM outputs) push the peak past 2.5.
+    """
+    circuit = build_circuit("basic_entangled", 9, 2, seed=16)
+    _transfer_matrix(circuit, 9)  # compile first: the cached matrix is not counted
+    enc = math.pi * np.random.default_rng(16).uniform(size=(2 * _CHUNK + 1, 9))
+    buffer_bytes = _CHUNK * 512 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _PLANS["dense"](enc, circuit)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} chunk buffers"
 
 
 @pytest.mark.parametrize("template", TEMPLATES)
