@@ -2,42 +2,61 @@
 
 `run_windows(enc, spec)` maps encoded windows (N, m) to their Z
 expectations (N, n) under the frozen n-qubit circuit `spec`.  Column j of
-`enc` is the RY angle of qubit j; the other n - m qubits start in |0>, so
-every window lies in the span of the 2**m basis states whose last n - m
-bits are 0.  One of two plans is chosen from (m, n):
+`enc` is the RY angle theta_j of qubit j; the other n - m qubits start in
+|0>, so every window lies in the span of the 2**m basis states whose last
+n - m bits are 0.  One of two plans is chosen from (m, n):
 
 * dense (2**(m + n) <= DENSE_MAX_AMPLITUDES): the circuit is frozen, so
-  the 2**m x 2**n block V of its transfer matrix U^T that encoded windows
-  reach is built once per (CircuitSpec, m) and cached; each window is a
-  real product state over m qubits, and its Z expectations are
-  |psi V|^2 @ S for the +-1 sign table S, a few GEMMs per chunk.
+  each <Z_q> is a fixed trigonometric polynomial of the window's angles,
+  with one coefficient per choice of (1, cos theta_j, sin theta_j) on
+  every encoded qubit: 3**m per measured qubit (Schuld, Sweke & Meyer,
+  arXiv:2008.08605).  The coefficients are compiled once per
+  (CircuitSpec, m) and cached; evaluation is one GEMM per chunk.
 * statevector (above that): every window is simulated gate by gate on a
   batch of 2**n-amplitude state vectors, with chunks spread over
   QUANVSEG_THREADS threads.
 
-The dense plan costs a 2**m x 2**n GEMM per window plus one compile per
-process, which simulates 2**m basis rows gate by gate; the statevector
-plan costs about gates x 2**n per window.  The cap of 2**22 amplitudes
-lets 3x3 windows (m = 9) run dense up to n = 13 and full-width encodings
-(m = n) up to n = 11.  On 2 cores, for a 64x64 scene (4096 windows) of a
-2-layer strongly_entangled circuit with m = 9, the statevector plan took
-3.9 s at n = 11 and 8.1 s at n = 12 (678 MB peak).  The dense plan
-compiled in 0.35-0.65 s and evaluated in 0.12-0.24 s at n = 11; at
-n = 12 it took 0.75-1.8 s plus 0.23-0.52 s (229 MB peak), and at n = 13
-1.9-4.7 s plus 0.5-0.9 s (389 MB).  At n = 14 the compile alone took
-5.6 s and the peak reached 710 MB, so the cap stops at 13.
+Compile.  The 2**m x 2**n block V of the transfer matrix U^T that encoded
+windows reach is simulated gate by gate (in float64 for circuits of RY
+and CNOT only).  For a real product state psi, <Z_q> = psi A_q psi with
+A_q = Re(V diag(S_q) V^+) = 2 Re(V_0 V_0^+) - I, V_0 being the columns in
+which qubit q is 0; rewriting each qubit's (row bit, column bit) pair in
+the basis (1, cos theta, sin theta) gives the coefficients.  V is a
+temporary: only C, of n * 3**a x 3**b, is kept (1.9 MB at m = 9, n = 12).
 
-Both plans encode windows with _product_states: the real product states
-over the first m // 2 qubits and over the rest each come from a short
-ladder, and one outer product of the two writes the 2**m amplitudes in
-place.  The dense plan writes them into a (chunk, 2**m) buffer that it
-reuses across chunks, as it reuses its GEMM buffers; the statevector
-plan writes them into the amplitudes j << (n - m) of its zeroed batch.
-At m = n = 9 on 2 cores, one 2048-window chunk's states took 11-12 ms
-as an m-step ladder of stacks and take about 3 ms this way, against
-9-10 ms for the 2048 x 512 x 512 GEMM they feed; a 64x64 quanvolve
-(2 layers) fell from 51-62 to 36-37 ms with basic_entangled and from
-76-81 to 54-63 ms with strongly_entangled.
+Evaluate.  The encoded qubits split into a = m // 2 head and b = m - a
+tail qubits, and a window's features into head features Fh (3**a) and
+tail features Ft (3**b), each a product of per-qubit (1, cos, sin).
+G = C @ Ft is one GEMM per chunk, and <Z_q> = sum_alpha G[q, alpha]
+Fh[alpha].  The split is what makes this cheap: the unsplit form needs
+all 3**m features of every window (4096 x 19683 float64, 645 MB, at
+m = 9) and a memory-bound GEMM with only n output columns, while the
+split form stores 3**a + 3**b features a window (324 at m = 9) and does
+the same n * 3**m multiply-adds as a compute-bound GEMM.
+
+Cost per window: n * 3**m multiply-adds, against 2**(m + n) (twice that
+for complex circuits) for evaluating |psi V|^2 directly: 177k against
+262k at m = n = 9, and 236k against 4.19M at m = 9, n = 12 complex.
+The cap of 2**22 amplitudes now bounds the memory and time of the
+compile, which holds V: it lets 3x3 windows (m = 9) run dense up to
+n = 13 (quanvolve encodes m = k**2 qubits).  On 2 cores (numpy 2.4.6,
+OpenBLAS 0.3.31), for a 64x64 scene (4096 windows) of a 2-layer circuit
+with m = 9, evaluation took 31-42 ms at n = 12 and 39-46 ms at n = 13
+(strongly_entangled), where |psi V|^2 took about 0.46 s and 1 s, and
+20-30 ms against 36-41 ms at n = 9 (basic_entangled).  A cold call
+(compile plus one scene) took 2.3 s at n = 12 and 5.5 s at n = 13 with
+strongly_entangled, most of it simulating V in complex128, and 0.8 s and
+2.3 s with basic_entangled; the statevector plan took 3.9 s at n = 11
+and 8.1 s at n = 12 (678 MB peak).
+
+Both plans encode windows with one helper, _products: the products of
+per-qubit factors over the first half of the qubits and over the rest
+each come from a short ladder, and one outer product of the two is
+written in place, with windows along the last axis.  The dense plan
+calls it on (1, cos theta, sin theta) for Fh and Ft, in buffers it
+reuses across chunks, as it reuses G; the statevector plan calls it,
+through _product_states, on (cos theta/2, sin theta/2) and writes the
+product states into the amplitudes j << (n - m) of its zeroed batch.
 
 quanvolve reaches run_windows through kernel() on every call, so a
 wrapper installed on kernel (perfbench/tracing.py times run_windows that
@@ -57,7 +76,8 @@ from .exceptions import ConfigError
 from .qsim.circuits import CircuitSpec
 from .qsim.state import apply_gates_batch
 
-# Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles.
+# Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles;
+# it bounds the memory of the compile, not of the evaluation.
 DENSE_MAX_AMPLITUDES = 1 << 22
 
 # Windows are evaluated in fixed-size chunks, so memory stays bounded and
@@ -89,78 +109,136 @@ def _chunks(n_windows):
     return [(lo, min(lo + _CHUNK, n_windows)) for lo in range(0, n_windows, _CHUNK)]
 
 
-@functools.lru_cache(maxsize=8)
+# Per-qubit change of basis of the quadratic form psi A psi: over the
+# (row bit, column bit) pairs 00, 01, 10, 11 to (1, cos theta, sin theta),
+# from c^2 = (1 + cos)/2, s^2 = (1 - cos)/2 and cs = sin/2.
+_TRIG = np.array([[0.5, 0.0, 0.0, 0.5],
+                  [0.5, 0.0, 0.0, -0.5],
+                  [0.0, 0.5, 0.5, 0.0]])
+
+
 def _transfer_matrix(spec: CircuitSpec, n_encoded: int):
-    """(Re, Im or None, S) of the frozen circuit on its first m qubits, read-only.
+    """The 2**m x 2**n block V of U^T that windows on the first m qubits reach.
 
     Row j of the batch is U applied to basis state j << (n - m), the state
-    whose first m qubits spell j and whose others are 0, so the result is
-    the 2**m x 2**n block of U^T that encoded windows reach (all of U^T
-    when m = n).  Im is None when it is exactly zero (circuits of RY and
-    CNOT only).  S[i, q] is +1 where qubit q of basis state i is 0, else -1.
+    whose first m qubits spell j and whose others are 0 (all of U^T when
+    m = n).  A circuit of RY and CNOT gates only is simulated in float64,
+    any other in complex128.
     """
     n, m = spec.n_qubits, n_encoded
-    rows = np.zeros((1 << m, 1 << n), dtype=np.complex128)
+    real = all(gate.kind in ("RY", "CNOT") for gate in spec.gates)
+    rows = np.zeros((1 << m, 1 << n), dtype=np.float64 if real else np.complex128)
     rows[np.arange(1 << m), np.arange(1 << m) << (n - m)] = 1.0
     apply_gates_batch(rows, spec.gates)
-    re = np.ascontiguousarray(rows.real)
-    im = np.ascontiguousarray(rows.imag) if rows.imag.any() else None
-    bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
-    for array in (re, im, signs):
-        if array is not None:
-            array.flags.writeable = False
-    return re, im, signs
+    return rows
 
 
-def _ladder(cos, sin):
-    """Real product states (N, 2**k) from per-qubit cos and sin (N, k)."""
-    psi = np.ones((cos.shape[0], 1))
-    for q in range(cos.shape[1]):
-        psi = np.stack((psi * cos[:, q:q + 1], psi * sin[:, q:q + 1]), axis=2)
-        psi = psi.reshape(cos.shape[0], -1)
-    return psi
+def _trig_coefficients(form, n_encoded):
+    """psi A psi of product states over m qubits as 3**m coefficients.
+
+    form is the symmetric 2**m x 2**m matrix A; coefficient (j_0, ...,
+    j_{m-1}), qubit 0 most significant, multiplies the product over the
+    qubits of (1, cos theta, sin theta)[j_q].
+    """
+    m = n_encoded
+    # Interleave the axes to (i_0, i'_0, i_1, i'_1, ...), one pair per qubit.
+    order = [axis for q in range(m) for axis in (q, m + q)]
+    x = form.reshape((2,) * (2 * m)).transpose(order)
+    for q in range(m):
+        x = np.matmul(_TRIG, x.reshape(3**q, 4, -1))
+    return x.reshape(-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _coefficients(spec: CircuitSpec, n_encoded: int):
+    """C (n * 3**a, 3**b), read-only: <Z_q> of a window is Fh . (C @ Ft)[q].
+
+    a = m // 2 head and b = m - a tail qubits.  Row q * 3**a + alpha,
+    column beta, is the coefficient of <Z_q> on head feature alpha times
+    tail feature beta.  <Z_q> = psi A_q psi with A_q = Re(V diag(S_q) V^+)
+    = 2 Re(V_0 V_0^+) - I, V_0 being the columns of V in which qubit q is
+    0, because the rows of V are orthonormal.  V is not kept.
+    """
+    n, m = spec.n_qubits, n_encoded
+    a = m // 2
+    v = _transfer_matrix(spec, m)
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    # Re(V_0 V_0^+) = [Re V_0, Im V_0] [Re V_0, Im V_0]^T, one syrk per qubit.
+    v0 = np.empty((1 << m, len(parts), 1 << (n - 1)))
+    flat = v0.reshape(1 << m, -1)
+    coef = np.empty((n, 3**a, 3 ** (m - a)))
+    for q in range(n):
+        split = v0.reshape(1 << m, len(parts), 1 << q, -1)
+        for i, part in enumerate(parts):
+            split[:, i] = part.reshape(1 << m, 1 << q, 2, -1)[:, :, 0, :]
+        form = flat @ flat.T
+        form *= 2.0
+        form[np.diag_indices(1 << m)] -= 1.0
+        coef[q] = _trig_coefficients(form, m).reshape(3**a, -1)
+    coef = coef.reshape(-1, coef.shape[2])
+    coef.flags.writeable = False
+    return coef
+
+
+def _ladder(factors):
+    """Products (d**k, N) of per-qubit factors (k, d, N), one qubit per step."""
+    prod = np.ones((1, factors.shape[2]))
+    for q in range(factors.shape[0]):
+        prod = (prod[:, None, :] * factors[q, None, :, :]).reshape(-1, factors.shape[2])
+    return prod
+
+
+def _products(factors, out):
+    """Write products (d**k, N) of per-qubit factors (k, d, N) into out.
+
+    Qubit 0 is the most significant factor.  The products over the first
+    k // 2 qubits and over the rest come from a short ladder each; one
+    outer product of the two writes the d**k values into out, any
+    (d**k, N) array or view.  Windows run along the last axis, so every
+    step is a long inner loop.
+    """
+    k = factors.shape[0]
+    head = _ladder(factors[:k // 2])
+    tail = _ladder(factors[k // 2:])
+    # Splitting the first axis of out is always a view, never a copy.
+    split = out.reshape(head.shape[0], tail.shape[0], -1)
+    np.multiply(head[:, None, :], tail[None, :, :], out=split)
 
 
 def _product_states(enc, out=None):
     """Real product states (N, 2**m) of windows encoded on m qubits (N, m).
 
-    Qubit 0 is the most significant factor.  The states over the first
-    m // 2 qubits and over the rest come from a short ladder each; one
-    outer product of the two writes the 2**m amplitudes into out (a new
-    array if None, else any (N, 2**m) array or view).
+    out, if given, is any (N, 2**m) array or view.
     """
-    n_windows, m = enc.shape
-    half = 0.5 * enc
-    cos, sin = np.cos(half), np.sin(half)
-    head = _ladder(cos[:, :m // 2], sin[:, :m // 2])
-    tail = _ladder(cos[:, m // 2:], sin[:, m // 2:])
+    half = 0.5 * enc.T
     if out is None:
-        out = np.empty((n_windows, 1 << m))
-    # Splitting the column axis of out is always a view, never a copy.
-    split = out.reshape(n_windows, head.shape[1], tail.shape[1])
-    np.multiply(head[:, :, None], tail[:, None, :], out=split)
+        out = np.empty((enc.shape[0], 1 << enc.shape[1]))
+    _products(np.stack((np.cos(half), np.sin(half)), axis=1), out.T)
     return out
 
 
 def _dense_windows(enc, spec):
-    """Z expectations (N, n) of windows encoded on m qubits (N, m), via V."""
+    """Z expectations (N, n) of windows encoded on m qubits (N, m), via C."""
     n_windows, m = enc.shape
-    re, im, signs = _transfer_matrix(spec, m)
-    out = np.empty((n_windows, spec.n_qubits))
-    # The states and one (chunk, 2**n) buffer per GEMM, reused by every chunk.
+    n, a = spec.n_qubits, m // 2
+    coef = _coefficients(spec, m)
+    # Filled one qubit per row, so each chunk writes contiguous runs.
+    out = np.empty((n, n_windows))
+    # The head and tail features and G, one window per column, reused by
+    # every chunk.
     rows = min(n_windows, _CHUNK)
-    states = np.empty((rows, 1 << m))
-    buffers = np.empty((1 if im is None else 2, rows, re.shape[1]))
+    head = np.empty((3**a, rows))
+    tail = np.empty((coef.shape[1], rows))
+    g = np.empty((coef.shape[0], rows))
     for lo, hi in _chunks(n_windows):
-        psi = _product_states(enc[lo:hi], out=states[:hi - lo])
-        probs = np.matmul(psi, re, out=buffers[0, :hi - lo])
-        np.square(probs, out=probs)
-        if im is not None:
-            amp = np.matmul(psi, im, out=buffers[1, :hi - lo])
-            probs += np.square(amp, out=amp)
-        np.matmul(probs, signs, out=out[lo:hi])
-    return out
+        w = hi - lo
+        theta = enc[lo:hi].T
+        factors = np.stack((np.ones_like(theta), np.cos(theta), np.sin(theta)), axis=1)
+        _products(factors[:a], head[:, :w])
+        _products(factors[a:], tail[:, :w])
+        gw = np.matmul(coef, tail[:, :w], out=g[:, :w])
+        np.einsum("qaw,aw->qw", gw.reshape(n, 3**a, w), head[:, :w], out=out[:, lo:hi])
+    return out.T
 
 
 def _statevector_windows(enc, spec):

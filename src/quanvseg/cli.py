@@ -29,7 +29,7 @@ from .datapipe import (
     synth_scene,
 )
 from .exceptions import ConfigError, FileFormatError, QuanvsegError, ShapeError
-from .fileio import read_pgm, read_tensor, read_text, write_pgm, write_tensor
+from .fileio import located, read_pgm, read_tensor, read_text, write_pgm, write_tensor
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
 from .qsim.state import MAX_SIM_QUBITS
 from .quanvolution import PADDINGS, QuanvConfig, quanvolve
@@ -182,7 +182,9 @@ def load_config(path=None, overrides=()):
 
 def _circuit_from(cfg, circuit_in=None):
     if circuit_in is not None:
-        return parse_circuit(read_text(circuit_in))
+        text = read_text(circuit_in)
+        with located(circuit_in):
+            return parse_circuit(text)
     return build_circuit(cfg["circuit.template"], cfg["circuit.qubits"],
                          cfg["circuit.layers"], cfg["circuit.seed"])
 

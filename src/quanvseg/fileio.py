@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .exceptions import FileFormatError, TruncatedFileError
+from .exceptions import CircuitParseError, FileFormatError, TruncatedFileError
 
 _MAGIC = b"QVT1"
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
@@ -88,10 +88,11 @@ def write_tensor(path, array: np.ndarray):
 
 @contextmanager
 def located(path):
-    """Put `path` in front of the message of a FileFormatError raised inside."""
+    """Put `path` in front of the message of a FileFormatError or
+    CircuitParseError raised inside."""
     try:
         yield
-    except FileFormatError as exc:
+    except (FileFormatError, CircuitParseError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import CircuitParseError, ShapeError
-from .state import GATE_KINDS, ROTATION_KINDS, Gate, StateVector, _freeze, apply_gate_inplace
+from .state import (
+    GATE_KINDS,
+    MAX_SIM_QUBITS,
+    ROTATION_KINDS,
+    Gate,
+    StateVector,
+    _freeze,
+    apply_gate_inplace,
+)
 
 TEMPLATES = ("basic_entangled", "strongly_entangled", "random")
 
@@ -142,9 +150,15 @@ _HEADER_KEYS = ("qubits", "template", "layers", "seed")
 
 
 def parse_circuit(text: str) -> CircuitSpec:
-    """Parse the text format produced by serialize_circuit."""
-    headers: dict[str, str] = {}
-    gates: list[Gate] = []
+    """Parse the text format produced by serialize_circuit.
+
+    Every defect is a CircuitParseError at its line: a header value that
+    is not an integer or is out of range (qubits in [1, MAX_SIM_QUBITS],
+    layers >= 1, seed in [0, 2**64)), an unknown template, and a gate on a
+    qubit the register does not have.
+    """
+    headers: dict[str, tuple[str, int]] = {}
+    gates: list[tuple[Gate, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -158,25 +172,38 @@ def parse_circuit(text: str) -> CircuitSpec:
                 raise CircuitParseError(f"duplicate header {tag!r}", lineno)
             if len(fields) != 2:
                 raise CircuitParseError(f"header {tag!r} takes one value", lineno)
-            headers[tag] = fields[1]
+            headers[tag] = (fields[1], lineno)
         elif tag in GATE_KINDS:
-            gates.append(_parse_gate(fields, lineno))
+            gates.append((_parse_gate(fields, lineno), lineno))
         else:
             raise CircuitParseError(f"unrecognized line {line!r}", lineno)
     for key in _HEADER_KEYS:
         if key not in headers:
             raise CircuitParseError(f"missing header {key!r}")
+    template, lineno = headers["template"]
+    if template not in TEMPLATES:
+        raise CircuitParseError(f"unknown template {template!r}", lineno)
+    n_qubits = _header_int(headers, "qubits", 1, MAX_SIM_QUBITS + 1)
+    n_layers = _header_int(headers, "layers", 1, None)
+    seed = _header_int(headers, "seed", 0, _MAX_SEED)
+    for gate, lineno in gates:
+        if max(gate.target, gate.control or 0) >= n_qubits:
+            raise CircuitParseError(f"{gate.kind} gate exceeds {n_qubits} qubits", lineno)
+    return CircuitSpec(template=template, n_qubits=n_qubits, n_layers=n_layers,
+                       seed=seed, gates=tuple(gate for gate, _ in gates))
+
+
+def _header_int(headers, key, lo, hi):
+    """Integer value of a header, in [lo, hi) (no upper bound if hi is None)."""
+    raw, lineno = headers[key]
     try:
-        spec = CircuitSpec(
-            template=headers["template"],
-            n_qubits=int(headers["qubits"]),
-            n_layers=int(headers["layers"]),
-            seed=int(headers["seed"]),
-            gates=tuple(gates),
-        )
-    except ValueError as exc:
-        raise CircuitParseError(str(exc)) from exc
-    return spec
+        value = int(raw)
+    except ValueError:
+        raise CircuitParseError(f"header {key!r} needs an integer, got {raw!r}", lineno) from None
+    if value < lo or (hi is not None and value >= hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi - 1}]"
+        raise CircuitParseError(f"header {key!r} must be {bound}, got {value}", lineno)
+    return value
 
 
 def _parse_gate(fields, lineno) -> Gate:

@@ -491,6 +491,33 @@ def test_non_ascii_circuit_in_exits_1(workdir, tmp_path, capsys):
     assert_located_error(capsys, code, 1, circuit, at)
 
 
+# (line to replace in a 4-qubit circuit file, its line number, message)
+BAD_CIRCUIT_LINES = {
+    "qubits-40": ("qubits 4", "qubits 40", 1, "header 'qubits' must be in [1, 16]"),
+    "qubits-x": ("qubits 4", "qubits x", 1, "header 'qubits' needs an integer"),
+    "layers-1.5": ("layers 1", "layers 1.5", 3, "header 'layers' needs an integer"),
+    "seed-two": ("seed 2", "seed two", 4, "header 'seed' needs an integer"),
+    "gate-on-qubit-4": ("RY 3 ", "RY 4 ", 8, "RY gate exceeds 4 qubits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CIRCUIT_LINES))
+def test_bad_circuit_in_line_exits_1(workdir, tmp_path, capsys, case):
+    """A fault in a --circuit-in file is a data error at its line, never a usage error."""
+    old, new, line, message = BAD_CIRCUIT_LINES[case]
+    circuit = tmp_path / "frozen.circuit"
+    text = serialize_circuit(build_circuit("basic_entangled", 4, 1, seed=2))
+    assert text.splitlines()[line - 1].startswith(old)
+    circuit.write_text(text.replace(old, new, 1))
+    code = main(["quanvolve", "--input", workdir["scene"],
+                 "--output", str(tmp_path / "o.qvt1"), "--circuit-in", str(circuit),
+                 "--set", "quanv.kernel=2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {circuit}: line {line}: {message}"), err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------
 # Malformed binary inputs: the error names the file
 

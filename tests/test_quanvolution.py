@@ -23,11 +23,17 @@ from quanvseg.qsim.circuits import (
     serialize_circuit,
 )
 from quanvseg.qsim.oracle import dense_unitary_oracle, gate_unitary
-from quanvseg.qsim.state import angle_encode, measure_z_expectations, new_zero_state
+from quanvseg.qsim.state import (
+    angle_encode,
+    apply_gates_batch,
+    measure_z_expectations,
+    new_zero_state,
+)
 from quanvseg.backend import (
     _CHUNK,
     _PLANS,
     DENSE_MAX_AMPLITUDES,
+    _coefficients,
     _product_states,
     _transfer_matrix,
     backend_name,
@@ -314,13 +320,14 @@ def test_dense_plan_last_chunk_of_one_window_matches_oracle():
 def test_dense_plan_allocates_no_per_chunk_temporaries():
     """Peak traced allocation of a three-chunk call at m = n = 9.
 
-    basic_entangled has a real transfer matrix, so the plan holds one
-    (chunk, 512) state buffer and one (chunk, 512) GEMM buffer; every other
-    array is a small fraction of one.  Per-chunk full-size temporaries
-    (a ladder of stacks, fresh GEMM outputs) push the peak past 2.5.
+    The plan holds the head features (81 per window), the tail features
+    (243) and G (9 * 81), about 2.1 (chunk, 512) buffers together; every
+    other array is a small fraction of one.  Per-chunk full-size
+    temporaries (a ladder of stacks, fresh GEMM outputs) push the peak
+    past 2.5.
     """
     circuit = build_circuit("basic_entangled", 9, 2, seed=16)
-    _transfer_matrix(circuit, 9)  # compile first: the cached matrix is not counted
+    _coefficients(circuit, 9)  # compile first: the cached coefficients are not counted
     enc = math.pi * np.random.default_rng(16).uniform(size=(2 * _CHUNK + 1, 9))
     buffer_bytes = _CHUNK * 512 * 8
     tracemalloc.start()
@@ -332,6 +339,70 @@ def test_dense_plan_allocates_no_per_chunk_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} chunk buffers"
+
+
+def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers():
+    """A 64x64 scene's windows at m = 9, n = 12: no (chunk, 4096) buffer.
+
+    Evaluating |psi V|^2 held (chunk, 2**n) GEMM buffers, two of them for a
+    complex circuit (4 x 32 MB); the split form needs about 0.65 of one.
+    """
+    circuit = build_circuit("strongly_entangled", 12, 1, seed=15)
+    _coefficients(circuit, 9)
+    enc = math.pi * np.random.default_rng(19).uniform(size=(4096, 9))
+    buffer_bytes = _CHUNK * 4096 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _PLANS["dense"](enc, circuit)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} (chunk, 4096) buffers"
+
+
+def trig_features(angles):
+    """Kronecker product over qubits of (1, cos theta, sin theta), qubit 0 first."""
+    out = np.ones(1)
+    for theta in angles:
+        out = np.kron(out, [1.0, math.cos(theta), math.sin(theta)])
+    return out
+
+
+@pytest.mark.parametrize("n_encoded, n_qubits",
+                         [(1, 1), (1, 3), (4, 4), (4, 6), (5, 5), (5, 7), (9, 9), (9, 11)])
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_coefficients_reproduce_window_oracle(template, n_encoded, n_qubits):
+    """<Z_q> = Fh . (C @ Ft)[q], features built here, against gate matrices.
+
+    The 11-qubit oracle multiplies 2048 x 2048 gate matrices, so that
+    circuit has one layer; the others have two.
+    """
+    circuit = build_circuit(template, n_qubits, 1 if n_qubits > 9 else 2, seed=20)
+    coef = _coefficients(circuit, n_encoded)
+    a = n_encoded // 2
+    assert coef.shape == (n_qubits * 3**a, 3 ** (n_encoded - a))
+    assert not coef.flags.writeable
+    enc = math.pi * np.random.default_rng(21).uniform(size=(6, n_encoded))
+    enc[0] = 0.0
+    enc[1] = math.pi
+    got = [(coef @ trig_features(w[a:])).reshape(n_qubits, -1) @ trig_features(w[:a])
+           for w in enc]
+    full = np.pad(enc, ((0, 0), (0, n_qubits - n_encoded)))
+    npt.assert_allclose(got, oracle_expectations(circuit, full), rtol=0, atol=1e-9)
+
+
+def test_real_circuits_compile_in_float64():
+    """RY and CNOT only: the float64 block is the complex128 one's real part, bit for bit."""
+    circuit = build_circuit("basic_entangled", 7, 2, seed=18)
+    block = _transfer_matrix(circuit, 5)
+    assert block.dtype == np.float64
+    rows = np.zeros((32, 128), dtype=np.complex128)
+    rows[np.arange(32), np.arange(32) << 2] = 1.0
+    apply_gates_batch(rows, circuit.gates)
+    assert not rows.imag.any()
+    assert block.tobytes() == np.ascontiguousarray(rows.real).tobytes()
 
 
 @pytest.mark.parametrize("template", TEMPLATES)
@@ -368,15 +439,15 @@ def test_selected_backend_is_reported():
     assert plan_name(12, 12) == "statevector"
     assert plan_name(16, 16) == "statevector"
     image = np.random.default_rng(11).uniform(size=(5, 5))
-    _transfer_matrix.cache_clear()
+    _coefficients.cache_clear()
     for kernel_size, n_qubits, plan in ((2, 11, "dense"), (4, 16, "statevector")):
         assert plan_name(kernel_size**2, n_qubits) == plan
         circuit = build_circuit("basic_entangled", n_qubits, 1, seed=11)
         config = small_config(circuit=circuit, kernel_size=kernel_size)
         got = quanvolve(image, config).data
         assert got.shape == (n_qubits, 6 - kernel_size, 6 - kernel_size)
-    # Only the 11-qubit circuit went through a transfer matrix.
-    assert _transfer_matrix.cache_info().misses == 1
+    # Only the 11-qubit circuit was compiled.
+    assert _coefficients.cache_info().misses == 1
 
 
 def test_3x3_windows_on_12_qubits_compile_the_encoded_block_once():
@@ -384,26 +455,25 @@ def test_3x3_windows_on_12_qubits_compile_the_encoded_block_once():
     image = np.random.default_rng(15).uniform(size=(6, 6))
     config = QuanvConfig(circuit=circuit, kernel_size=3)
     assert plan_name(9, 12) == "dense"
-    _transfer_matrix.cache_clear()
+    _coefficients.cache_clear()
     first = quanvolve(image, config).data
     second = quanvolve(image, config).data
-    info = _transfer_matrix.cache_info()
+    info = _coefficients.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first.tobytes() == second.tobytes()
-    re, im, signs = _transfer_matrix(circuit, 9)
-    assert re.shape == im.shape == (512, 4096)
-    assert signs.shape == (4096, 12)
+    # 12 qubits x 3**4 head features by 3**5 tail features.
+    assert _coefficients(circuit, 9).shape == (12 * 81, 243)
 
 
 def test_dense_plan_compiles_once_per_spec():
     circuit = build_circuit("random", 4, 2, seed=12)
     image = np.random.default_rng(12).uniform(size=(8, 8))
-    _transfer_matrix.cache_clear()
+    _coefficients.cache_clear()
     first = quanvolve(image, small_config(circuit=circuit)).data
     # An equal spec rebuilt from text, as eval rebuilds it from a checkpoint.
     again = parse_circuit(serialize_circuit(circuit))
     second = quanvolve(image, small_config(circuit=again)).data
-    info = _transfer_matrix.cache_info()
+    info = _coefficients.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first.tobytes() == second.tobytes()
 
@@ -414,18 +484,10 @@ def test_transfer_matrix_encoding():
         u_t = dense_unitary_oracle(circuit).T
         # m = 3 is all of U^T; m = 2 keeps the rows whose last qubit is 0.
         for n_encoded, rows in ((3, [0, 1, 2, 3, 4, 5, 6, 7]), (2, [0, 2, 4, 6])):
-            re, im, signs = _transfer_matrix(circuit, n_encoded)
-            npt.assert_allclose(re, u_t[rows].real, atol=1e-12)
-            if im is None:
-                assert not u_t.imag.any()
-            else:
-                npt.assert_allclose(im, u_t[rows].imag, atol=1e-12)
-            assert not re.flags.writeable
-    # basic_entangled holds only RY and CNOT, so its matrix is real.
-    assert _transfer_matrix(build_circuit("basic_entangled", 3, 1, seed=1), 3)[1] is None
-    # Row j: +1 where qubit q of basis state j is 0; qubit 0 is the MSB.
-    npt.assert_array_equal(signs[0b011], [1.0, -1.0, -1.0])
-    npt.assert_array_equal(signs[0b100], [-1.0, 1.0, 1.0])
+            block = _transfer_matrix(circuit, n_encoded)
+            npt.assert_allclose(block, u_t[rows], atol=1e-12)
+            # basic_entangled holds only RY and CNOT, so its block is real.
+            assert (block.dtype == np.float64) == (template == "basic_entangled")
 
 
 # ---------------------------------------------------------------------
