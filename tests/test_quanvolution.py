@@ -317,6 +317,18 @@ def test_dense_plan_last_chunk_of_one_window_matches_oracle():
     npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
 
 
+def traced_peak(call):
+    """Peak traced allocation of call(), in bytes above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_dense_plan_allocates_no_per_chunk_temporaries():
     """Peak traced allocation of a three-chunk call at m = n = 9.
 
@@ -330,14 +342,7 @@ def test_dense_plan_allocates_no_per_chunk_temporaries():
     _coefficients(circuit, 9)  # compile first: the cached coefficients are not counted
     enc = math.pi * np.random.default_rng(16).uniform(size=(2 * _CHUNK + 1, 9))
     buffer_bytes = _CHUNK * 512 * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _PLANS["dense"](enc, circuit)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _PLANS["dense"](enc, circuit))
     assert peak < 2.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} chunk buffers"
 
 
@@ -351,14 +356,7 @@ def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers():
     _coefficients(circuit, 9)
     enc = math.pi * np.random.default_rng(19).uniform(size=(4096, 9))
     buffer_bytes = _CHUNK * 4096 * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _PLANS["dense"](enc, circuit)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _PLANS["dense"](enc, circuit))
     assert peak < 0.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} (chunk, 4096) buffers"
 
 
