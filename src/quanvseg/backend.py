@@ -12,16 +12,19 @@ n - m bits are 0.  One of two plans is chosen from (m, n):
   every encoded qubit: 3**m per measured qubit (Schuld, Sweke & Meyer,
   arXiv:2008.08605).  The coefficients are compiled once per
   (CircuitSpec, m) and cached; evaluation is one GEMM per chunk.
-* statevector (above that): every window is simulated gate by gate on a
-  batch of 2**n-amplitude state vectors, with chunks spread over
-  QUANVSEG_THREADS threads.
+* statevector (above that): every window is simulated on a batch of
+  2**n-amplitude state vectors, in chunks of at most DENSE_MAX_AMPLITUDES
+  amplitudes, one chunk at a time.
+
+Both plans simulate the circuit with qsim.state.apply_gates_batch, in
+float64 for circuits of RY and CNOT gates only, else in complex128.
 
 Compile.  The 2**m x 2**n block V of the transfer matrix U^T that encoded
-windows reach is simulated gate by gate (in float64 for circuits of RY
-and CNOT only).  For a real product state psi, <Z_q> = psi A_q psi with
-A_q = Re(V diag(S_q) V^+) = 2 Re(V_0 V_0^+) - I, V_0 being the columns in
-which qubit q is 0; rewriting each qubit's (row bit, column bit) pair in
-the basis (1, cos theta, sin theta) gives the coefficients.  V is a
+windows reach is simulated as one batch of 2**m basis states.  For a
+real product state psi, <Z_q> = psi A_q psi with A_q = Re(V diag(S_q)
+V^+) = 2 Re(V_0 V_0^+) - I, V_0 being the columns in which qubit q is 0;
+rewriting each qubit's (row bit, column bit) pair in the basis (1,
+cos theta, sin theta) gives the coefficients.  V is a
 temporary: only C, of n * 3**a x 3**b, is kept (1.9 MB at m = 9, n = 12).
 
 Evaluate.  The encoded qubits split into a = m // 2 head and b = m - a
@@ -43,11 +46,13 @@ n = 13 (quanvolve encodes m = k**2 qubits).  On 2 cores (numpy 2.4.6,
 OpenBLAS 0.3.31), for a 64x64 scene (4096 windows) of a 2-layer circuit
 with m = 9, evaluation took 31-42 ms at n = 12 and 39-46 ms at n = 13
 (strongly_entangled), where |psi V|^2 took about 0.46 s and 1 s, and
-20-30 ms against 36-41 ms at n = 9 (basic_entangled).  A cold call
-(compile plus one scene) took 2.3 s at n = 12 and 5.5 s at n = 13 with
-strongly_entangled, most of it simulating V in complex128, and 0.8 s and
-2.3 s with basic_entangled; the statevector plan took 3.9 s at n = 11
-and 8.1 s at n = 12 (678 MB peak).
+20-30 ms against 36-41 ms at n = 9 (basic_entangled).  Simulating V
+took 0.11-0.14 s at n = 12 and 0.21-0.24 s at n = 13 (strongly_entangled,
+1.7-1.8 s and 4.3-4.6 s with one elementwise pass per gate), so a cold
+call (compile plus one scene) took 0.42-0.53 s and 0.92-1.02 s.  The
+statevector plan took 1.1-1.5 s for 4096 windows at n = 12 (135 MB
+peak RSS; 8.7-9.1 s and 679 MB with one pass per gate on a 2-thread
+pool).
 
 Both plans encode windows with one helper, _products: the products of
 per-qubit factors over the first half of the qubits and over the rest
@@ -66,38 +71,21 @@ way) sees every evaluation.
 from __future__ import annotations
 
 import functools
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .exceptions import ConfigError
 from .qsim.circuits import CircuitSpec
-from .qsim.state import apply_gates_batch
+from .qsim.state import apply_gates_batch, batch_dtype
 
 # Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles;
-# it bounds the memory of the compile, not of the evaluation.
+# it bounds the memory of the compile, not of the evaluation.  It also
+# bounds the amplitudes of one statevector-plan chunk.
 DENSE_MAX_AMPLITUDES = 1 << 22
 
-# Windows are evaluated in fixed-size chunks, so memory stays bounded and
-# results do not depend on the thread count (each chunk writes a disjoint
-# output slice).
+# The dense plan evaluates windows in chunks of this many, so its buffers
+# stay bounded whatever the number of windows.
 _CHUNK = 2048
-
-
-def n_threads() -> int:
-    """Statevector-plan thread cap: QUANVSEG_THREADS, defaulting to all cores."""
-    raw = os.environ.get("QUANVSEG_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"QUANVSEG_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError("QUANVSEG_THREADS must be >= 1")
-    return value
 
 
 def plan_name(n_encoded: int, n_qubits: int) -> str:
@@ -105,8 +93,8 @@ def plan_name(n_encoded: int, n_qubits: int) -> str:
     return "dense" if 1 << (n_encoded + n_qubits) <= DENSE_MAX_AMPLITUDES else "statevector"
 
 
-def _chunks(n_windows):
-    return [(lo, min(lo + _CHUNK, n_windows)) for lo in range(0, n_windows, _CHUNK)]
+def _chunks(n_windows, size):
+    return [(lo, min(lo + size, n_windows)) for lo in range(0, n_windows, size)]
 
 
 # Per-qubit change of basis of the quadratic form psi A psi: over the
@@ -126,8 +114,7 @@ def _transfer_matrix(spec: CircuitSpec, n_encoded: int):
     any other in complex128.
     """
     n, m = spec.n_qubits, n_encoded
-    real = all(gate.kind in ("RY", "CNOT") for gate in spec.gates)
-    rows = np.zeros((1 << m, 1 << n), dtype=np.float64 if real else np.complex128)
+    rows = np.zeros((1 << m, 1 << n), dtype=batch_dtype(spec.gates))
     rows[np.arange(1 << m), np.arange(1 << m) << (n - m)] = 1.0
     apply_gates_batch(rows, spec.gates)
     return rows
@@ -230,7 +217,7 @@ def _dense_windows(enc, spec):
     head = np.empty((3**a, rows))
     tail = np.empty((coef.shape[1], rows))
     g = np.empty((coef.shape[0], rows))
-    for lo, hi in _chunks(n_windows):
+    for lo, hi in _chunks(n_windows, _CHUNK):
         w = hi - lo
         theta = enc[lo:hi].T
         factors = np.stack((np.ones_like(theta), np.cos(theta), np.sin(theta)), axis=1)
@@ -246,26 +233,23 @@ def _statevector_windows(enc, spec):
     n_windows, m = enc.shape
     n = spec.n_qubits
     out = np.empty((n_windows, n))
-
-    def run(lo, hi):
-        psi = np.zeros((hi - lo, 1 << n), dtype=np.complex128)
+    # One chunk holds at most DENSE_MAX_AMPLITUDES amplitudes.
+    size = max(1, min(n_windows, DENSE_MAX_AMPLITUDES >> n))
+    batch = np.empty((size, 1 << n), dtype=batch_dtype(spec.gates))
+    probs = np.empty((size, 1 << n))
+    for lo, hi in _chunks(n_windows, size):
+        w = hi - lo
+        psi = batch[:w]
+        psi.fill(0.0)
         # Amplitudes j << (n - m): the encoded qubits spell j, the rest are 0.
-        _product_states(enc[lo:hi], out=psi.reshape(hi - lo, 1 << m, -1)[:, :, 0])
+        _product_states(enc[lo:hi], out=psi.reshape(w, 1 << m, -1)[:, :, 0])
         apply_gates_batch(psi, spec.gates)
-        probs = psi.real**2 + psi.imag**2
+        # |psi|**2 as the sum over the real (and imaginary) part of each amplitude.
+        parts = psi.view(np.float64).reshape(w, 1 << n, -1)
+        p = np.einsum("wak,wak->wa", parts, parts, out=probs[:w])
         for q in range(n):
-            v = probs.reshape(hi - lo, 1 << q, 2, -1)
+            v = p.reshape(w, 1 << q, 2, -1)
             out[lo:hi, q] = v[:, :, 0, :].sum(axis=(1, 2)) - v[:, :, 1, :].sum(axis=(1, 2))
-
-    bounds = _chunks(n_windows)
-    workers = n_threads()
-    if workers == 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            run(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for f in [pool.submit(run, lo, hi) for lo, hi in bounds]:
-                f.result()
     return out
 
 

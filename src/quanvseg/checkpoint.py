@@ -16,8 +16,9 @@ Offsets point into `<prefix>.tensors`.  The files are replaced one at a
 time, so a save cut short can leave a new `.tensors` under an old
 manifest; the size and checksum catch that pair on load.  When the model
 was trained on quanvoluted input, the frozen circuit is written to
-`<prefix>.circuit` and referenced from the manifest, so evaluation and
-prediction can rebuild the exact preprocessing.
+`<prefix>.circuit`, referenced from the manifest with the zlib.crc32 of
+its text (`circuit.crc32`), so evaluation and prediction can rebuild the
+exact preprocessing; load_checkpoint returns it as a QuanvConfig.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .fileio import (
     tensor_record_size,
     tensor_to_bytes,
 )
+from .qsim.circuits import parse_circuit
+from .quanvolution import QuanvConfig
 from .unet import AttentionUNet, AttentionUNetConfig, parameter_shapes
 
 MANIFEST_MAGIC = "quanvseg-checkpoint 1"
@@ -69,6 +72,7 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
         lines.append(f"quanv.padding {quanv_config.padding}")
         lines.append(f"quanv.rescale {int(quanv_config.rescale)}")
         lines.append(f"circuit {os.path.basename(prefix)}.circuit")
+        lines.append(f"circuit.crc32 {zlib.crc32(circuit_text.encode('ascii')):08x}")
     blob = bytearray()
     for kind, table in (("param", model.params), ("stat", model.stats)):
         for name, arr in table.items():
@@ -106,10 +110,10 @@ def _int(text: str, where: str) -> int:
 
 
 def load_checkpoint(prefix):
-    """Returns (model, extras).
+    """Returns (model, quanv_config).
 
-    extras is {} for plain checkpoints; for quanvoluted ones it carries
-    the quanv.* settings plus "circuit": the serialized circuit text.
+    quanv_config is None for plain checkpoints; for quanvoluted ones it
+    is the QuanvConfig of the preprocessing, circuit included.
     """
     prefix = str(prefix)
     lines = read_text(prefix + ".manifest").split("\n")
@@ -217,15 +221,28 @@ def load_checkpoint(prefix):
     if loaded:
         raise FileFormatError(f"checkpoint has surplus tensors: {sorted(loaded)}")
 
-    extras: dict[str, str] = {}
+    quanv_config = None
     if "circuit" in header:
-        for key in _QUANV_KEYS:
+        for key in _QUANV_KEYS + ("circuit.crc32",):
             if key not in header:
                 raise FileFormatError(f"manifest missing header {key}")
-            extras[key] = header[key][0]
-        for key in ("quanv.kernel", "quanv.stride", "quanv.rescale"):
-            header_int(key)  # extras stay text; a bad field is reported with its line here
         circuit_path = os.path.join(os.path.dirname(prefix) or ".", header["circuit"][0])
-        extras["circuit"] = read_text(circuit_path)
+        text = read_text(circuit_path)
+        if f"{zlib.crc32(text.encode('ascii')):08x}" != header["circuit.crc32"][0]:
+            raise FileFormatError(f"{circuit_path}: does not match circuit.crc32 in "
+                                  f"{prefix}.manifest; it changed after the save")
+        with located(circuit_path):
+            spec = parse_circuit(text)
+        try:
+            quanv_config = QuanvConfig(
+                circuit=spec,
+                kernel_size=header_int("quanv.kernel"),
+                stride=header_int("quanv.stride"),
+                padding=header["quanv.padding"][0],
+                rescale=bool(header_int("quanv.rescale")),
+            )
+        except ConfigError as exc:
+            # The settings come from the checkpoint file, not from the user.
+            raise FileFormatError(f"checkpoint quanvolution settings: {exc}") from None
     model = AttentionUNet(config, params, stats, dtype=dtype)
-    return model, extras
+    return model, quanv_config

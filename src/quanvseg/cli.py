@@ -238,25 +238,6 @@ def _select_split(patches_dir, which):
     return PatchSet(items=train_set.items + test_set.items)
 
 
-def _restore_quanv(extras):
-    """(QuanvConfig, circuit text) from checkpoint extras, or (None, None)."""
-    if "circuit" not in extras:
-        return None, None
-    spec = parse_circuit(extras["circuit"])
-    try:
-        quanv_config = QuanvConfig(
-            circuit=spec,
-            kernel_size=int(extras["quanv.kernel"]),
-            stride=int(extras["quanv.stride"]),
-            padding=extras["quanv.padding"],
-            rescale=bool(int(extras["quanv.rescale"])),
-        )
-    except ConfigError as exc:
-        # The settings come from the checkpoint file, not from the user.
-        raise FileFormatError(f"checkpoint quanvolution settings: {exc}") from None
-    return quanv_config, extras["circuit"]
-
-
 # ---------------------------------------------------------------------
 # Subcommands
 
@@ -340,9 +321,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, extras = load_checkpoint(args.checkpoint)
+    model, quanv_config = load_checkpoint(args.checkpoint)
     patchset = _select_split(args.patches, args.split)
-    quanv_config, _ = _restore_quanv(extras)
     if quanv_config is not None:
         patchset = _quanvolve_patchset(patchset, quanv_config)
     result = evaluate(model, patchset)
@@ -354,9 +334,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, extras = load_checkpoint(args.checkpoint)
+    model, quanv_config = load_checkpoint(args.checkpoint)
     patchset = _select_split(args.patches, args.split)
-    quanv_config, _ = _restore_quanv(extras)
     raw = patchset
     if quanv_config is not None:
         patchset = _quanvolve_patchset(patchset, quanv_config)

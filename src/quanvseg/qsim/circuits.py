@@ -21,7 +21,7 @@ from .state import (
     Gate,
     StateVector,
     _freeze,
-    apply_gate_inplace,
+    apply_gates_batch,
 )
 
 TEMPLATES = ("basic_entangled", "strongly_entangled", "random")
@@ -121,8 +121,8 @@ def run_circuit(spec: CircuitSpec, state: StateVector) -> StateVector:
             f"circuit has {spec.n_qubits} qubits but state has {state.n_qubits}"
         )
     amps = state.amplitudes.copy()
-    for gate in spec.gates:
-        apply_gate_inplace(amps, spec.n_qubits, gate)
+    # CircuitSpec has checked that every gate fits the register.
+    apply_gates_batch(amps.reshape(1, -1), spec.gates)
     return _freeze(spec.n_qubits, amps)
 
 

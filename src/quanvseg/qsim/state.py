@@ -14,6 +14,8 @@ StateVector whose amplitude buffer is marked read-only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,73 +86,96 @@ def new_zero_state(n_qubits: int) -> StateVector:
     return _freeze(n_qubits, amps)
 
 
-def _check_qubit(q: int, n_qubits: int, role: str):
-    if not 0 <= q < n_qubits:
-        raise QubitIndexError(f"{role} qubit {q} out of range for {n_qubits} qubits")
+# Gates run on row blocks of about this many amplitudes between two
+# scratch buffers, so no full-size copy of a batch is made.
+_BLOCK_AMPLITUDES = 1 << 16
+# One-qubit gates fuse into blocks over this many adjacent qubits: fewer
+# cost more passes over the batch, more cost more work per amplitude.
+_FUSED_QUBITS = 3
 
 
-def rotate_batch(psi: np.ndarray, kind: str, target: int, c, s):
-    """Apply a rotation on `target` to every state of a batch (N, 2**n).
+def batch_dtype(gates):
+    """float64 if every gate is RY or CNOT, whose matrices are real, else complex128."""
+    return np.float64 if all(g.kind in ("RY", "CNOT") for g in gates) else np.complex128
 
-    c and s are cos/sin of the half angle: scalars for one gate of a
-    circuit, or per-state vectors of shape (N,) for the encoding stage.
+
+def _rotation(gate: Gate) -> np.ndarray:
+    c, s = math.cos(0.5 * gate.angle), math.sin(0.5 * gate.angle)
+    if gate.kind == "RY":
+        return np.array([[c, -s], [s, c]])
+    if gate.kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]])
+
+
+def _program(gates, n_qubits: int):
+    """The steps that apply `gates` to states of n_qubits qubits.
+
+    A run of one-qubit gates gives steps (lo, M): M is the Kronecker
+    product over qubits lo, lo + 1, ... of each qubit's gates multiplied
+    out.  A run of CNOTs gives one step (None, src): new[i] = old[src[i]].
     """
-    v = psi.reshape(psi.shape[0], 1 << target, 2, -1)
-    if isinstance(c, np.ndarray):
-        c = c[:, None, None]
-        s = s[:, None, None]
-    if kind == "RZ":
-        v[:, :, 0, :] *= c - 1j * s
-        v[:, :, 1, :] *= c + 1j * s
-        return
-    a0 = v[:, :, 0, :].copy()
-    a1 = v[:, :, 1, :]
-    if kind == "RY":
-        v[:, :, 0, :] = c * a0 - s * a1
-        v[:, :, 1, :] = s * a0 + c * a1
-    else:  # RX
-        v[:, :, 0, :] = c * a0 - 1j * s * a1
-        v[:, :, 1, :] = -1j * s * a0 + c * a1
-
-
-def cnot_batch(psi: np.ndarray, control: int, target: int):
-    """Flip `target` where `control` is set, in every state of a batch."""
-    lo, hi = min(control, target), max(control, target)
-    v = psi.reshape(psi.shape[0], 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    if control < target:
-        block = v[:, :, 1, :, :, :]  # control bit set; target is axis 3
-        tmp = block[:, :, :, 0, :].copy()
-        block[:, :, :, 0, :] = block[:, :, :, 1, :]
-        block[:, :, :, 1, :] = tmp
-    else:
-        block = v[:, :, :, :, 1, :]  # control bit set; target is axis 2
-        tmp = block[:, :, 0, :, :].copy()
-        block[:, :, 0, :, :] = block[:, :, 1, :, :]
-        block[:, :, 1, :, :] = tmp
+    steps = []
+    for is_cnot, run in itertools.groupby(gates, key=lambda g: g.kind == "CNOT"):
+        if is_cnot:
+            src, top = np.arange(1 << n_qubits), n_qubits - 1  # top: qubit 0's index bit
+            # new[i] = old[p_1(... p_k(i))] after the CNOTs p_1 ... p_k.
+            for gate in reversed(list(run)):
+                src ^= ((src >> (top - gate.control)) & 1) << (top - gate.target)
+            steps.append((None, src))
+            continue
+        fused = {}
+        for gate in run:
+            fused[gate.target] = _rotation(gate) @ fused.get(gate.target, np.eye(2))
+        # Blocks end at the last qubit, so the last one acts on contiguous amplitudes.
+        for hi in range(n_qubits, 0, -_FUSED_QUBITS):
+            qubits = range(max(0, hi - _FUSED_QUBITS), hi)
+            if any(q in fused for q in qubits):
+                block = functools.reduce(np.kron, [fused.get(q, np.eye(2)) for q in qubits])
+                steps.append((qubits[0], block))
+    return steps
 
 
 def apply_gates_batch(psi: np.ndarray, gates):
-    """Apply gates, in order, to every state of a writable batch (N, 2**n)."""
-    for gate in gates:
-        if gate.kind == "CNOT":
-            cnot_batch(psi, gate.control, gate.target)
-        else:
-            half = 0.5 * gate.angle
-            rotate_batch(psi, gate.kind, gate.target, math.cos(half), math.sin(half))
+    """Apply gates, in order, to every state of a writable batch (N, 2**n).
 
-
-def apply_gate_inplace(amps: np.ndarray, n_qubits: int, gate: Gate):
-    """Apply one gate to a writable complex amplitude buffer."""
-    _check_qubit(gate.target, n_qubits, "target")
-    if gate.kind == "CNOT":
-        _check_qubit(gate.control, n_qubits, "control")
-    apply_gates_batch(amps.reshape(1, -1), (gate,))
+    The one code path that applies gates.  A float64 batch takes only RY
+    and CNOT (batch_dtype).  A complex batch runs real gates on its real
+    and imaginary parts apart: its real part gets a float64 batch's bits.
+    """
+    n_states, size = psi.shape
+    steps = _program(gates, size.bit_length() - 1)
+    rows = max(1, min(n_states, _BLOCK_AMPLITUDES // size))
+    real = np.iscomplexobj(psi) and batch_dtype(gates) is np.float64
+    parts = (psi.real, psi.imag) if real else (psi,)
+    a, b = np.empty((2, rows, size), dtype=parts[0].dtype)
+    for part in parts:
+        for lo in range(0, n_states, rows):
+            src, dst = a[: n_states - lo], b[: n_states - lo]
+            np.copyto(src, part[lo : lo + rows])
+            for q, op in steps:
+                if q is None:
+                    np.take(src, op, axis=1, out=dst, mode="clip")
+                elif op.shape[0] << q == size:
+                    # The last qubits: GEMMs of at most 256 rows by op.T.
+                    # OpenBLAS threads taller ones, which ran up to 20x
+                    # slower on 2 cores, between the other steps.
+                    x = src.reshape(-1, min(256, size // op.shape[0]), op.shape[0])
+                    np.matmul(x, op.T, out=dst.reshape(x.shape))
+                else:
+                    x = src.reshape(len(src) << q, op.shape[0], -1)
+                    np.matmul(op, x, out=dst.reshape(x.shape))
+                src, dst = dst, src
+            part[lo : lo + rows] = src
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Return the state after one gate; the input state is untouched."""
+    for q in (gate.target, gate.control):
+        if q is not None and not 0 <= q < state.n_qubits:
+            raise QubitIndexError(f"qubit {q} out of range for {state.n_qubits} qubits")
     amps = state.amplitudes.copy()
-    apply_gate_inplace(amps, state.n_qubits, gate)
+    apply_gates_batch(amps.reshape(1, -1), (gate,))
     return _freeze(state.n_qubits, amps)
 
 
@@ -172,10 +197,9 @@ def angle_encode(values, n_qubits: int) -> StateVector:
         or values.max() > 1.0
     ):
         raise EncodingRangeError("encoding values must lie in [0, 1]")
-    state = new_zero_state(n_qubits)
-    amps = state.amplitudes.copy()
-    for q, x in enumerate(values):
-        apply_gate_inplace(amps, n_qubits, Gate("RY", q, angle=math.pi * float(x)))
+    amps = new_zero_state(n_qubits).amplitudes.copy()
+    gates = [Gate("RY", q, angle=math.pi * float(x)) for q, x in enumerate(values)]
+    apply_gates_batch(amps.reshape(1, -1), gates)
     return _freeze(n_qubits, amps)
 
 

@@ -19,12 +19,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import backend
-from .backend import n_threads  # re-exported: perfbench reads quanvolution.n_threads
 from .exceptions import ConfigError, EncodingRangeError, ShapeError, SizeError
 from .qsim.circuits import CircuitSpec
 from .qsim.state import MAX_SIM_QUBITS
 
 PADDINGS = ("valid", "same-reflect")
+
+
+def n_threads() -> int:
+    """1: quanvseg starts no threads; BLAS sizes its own (perfbench reads this)."""
+    return 1
 
 
 @dataclass(frozen=True)

@@ -511,8 +511,8 @@ def test_checkpoint_round_trip(tmp_path, kind):
     train(model, toy_patches(), TrainConfig(lr=1e-3, epochs=1, batch_size=2))
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, model)
-    loaded, extras = load_checkpoint(prefix)
-    assert extras == {}
+    loaded, quanv_config = load_checkpoint(prefix)
+    assert quanv_config is None
     # the manifest stores gate widths explicitly, so compare resolved values
     assert loaded.config.in_channels == cfg.in_channels
     assert loaded.config.depth == cfg.depth
@@ -537,12 +537,8 @@ def test_checkpoint_carries_quanvolution_settings(tmp_path):
     prefix = tmp_path / "qckpt"
     save_checkpoint(prefix, model, quanv_config=qcfg,
                     circuit_text=serialize_circuit(spec))
-    _, extras = load_checkpoint(prefix)
-    assert extras["quanv.kernel"] == "2"
-    assert extras["quanv.stride"] == "1"
-    assert extras["quanv.padding"] == "same-reflect"
-    assert extras["quanv.rescale"] == "1"
-    assert extras["circuit"] == serialize_circuit(spec)
+    _, loaded = load_checkpoint(prefix)
+    assert loaded == qcfg
     assert (tmp_path / "qckpt.circuit").exists()
 
 

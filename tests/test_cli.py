@@ -3,6 +3,7 @@
 import os
 import re
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,31 @@ def test_bad_circuit_in_line_exits_1(workdir, tmp_path, capsys, case):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {circuit}: line {line}: {message}"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fix_crc", [False, True], ids=["as-edited", "crc-updated"])
+def test_edited_checkpoint_circuit_exits_1(workdir, tmp_path, capsys, fix_crc):
+    """An edited `.circuit` fails its manifest checksum; with the checksum
+    updated too, its bad line is reported in the file."""
+    prefix = str(tmp_path / "qckpt")
+    quanv_checkpoint(prefix)
+    circuit = Path(prefix + ".circuit")
+    text = circuit.read_text()
+    assert text.startswith("qubits 4\n")
+    edited = text.replace("qubits 4", "qubits x", 1)
+    circuit.write_text(edited)
+    if fix_crc:
+        manifest = Path(prefix + ".manifest")
+        old_crc = f"circuit.crc32 {zlib.crc32(text.encode()):08x}"
+        assert old_crc in manifest.read_text()
+        manifest.write_text(manifest.read_text().replace(
+            old_crc, f"circuit.crc32 {zlib.crc32(edited.encode()):08x}"))
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert code == 1
+    err = capsys.readouterr().err
+    want = "line 1: header 'qubits' needs an integer" if fix_crc else "crc32"
+    assert err.startswith(f"error: {circuit}: ") and want in err, err
     assert "Traceback" not in err
 
 

@@ -337,7 +337,7 @@ def test_oracle_rejects_large_registers():
 
 
 @pytest.mark.parametrize("template", TEMPLATES)
-@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n_layers", [1, 3])
 def test_simulator_matches_oracle(template, n_qubits, n_layers):
     rng = np.random.default_rng(n_qubits * 100 + n_layers)

@@ -360,6 +360,23 @@ def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers():
     assert peak < 0.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} (chunk, 4096) buffers"
 
 
+def test_statevector_chunks_hold_a_bounded_number_of_amplitudes():
+    """A three-chunk statevector call at m = 9, n = 12.
+
+    The plan holds one chunk of DENSE_MAX_AMPLITUDES complex128 amplitudes
+    and their probabilities, about 1.5 chunks; the gates run on row blocks
+    of it through small scratch buffers.  Chunks of 2048 windows whatever
+    n, several in flight, or a copy of half the batch per rotation push
+    the peak past 2.
+    """
+    circuit = build_circuit("strongly_entangled", 12, 1, seed=17)
+    windows = 2 * (DENSE_MAX_AMPLITUDES >> 12) + 1
+    enc = math.pi * np.random.default_rng(17).uniform(size=(windows, 9))
+    chunk_bytes = DENSE_MAX_AMPLITUDES * 16
+    peak = traced_peak(lambda: _PLANS["statevector"](enc, circuit))
+    assert peak < 2 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks"
+
+
 def trig_features(angles):
     """Kronecker product over qubits of (1, cos theta, sin theta), qubit 0 first."""
     out = np.ones(1)
@@ -489,23 +506,24 @@ def test_transfer_matrix_encoding():
 
 
 # ---------------------------------------------------------------------
-# Determinism under parallelism
+# Determinism under BLAS threading
 
 
-def _statevector_bytes(threads):
+def _statevector_bytes(blas_threads):
     """Run the statevector plan on 3x3-window encodings for 11 qubits over
-    two chunks, in a subprocess with a fixed thread cap."""
+    two chunks, in a subprocess with a fixed BLAS thread count."""
     code = (
         "import math, sys\n"
         "import numpy as np\n"
-        "from quanvseg.backend import _CHUNK, _PLANS\n"
+        "from quanvseg.backend import DENSE_MAX_AMPLITUDES, _PLANS\n"
         "from quanvseg.qsim.circuits import build_circuit\n"
         "circuit = build_circuit('strongly_entangled', 11, 1, seed=12)\n"
         "enc = math.pi * np.random.default_rng(13).uniform(size=(47 * 47, 9))\n"
-        "assert _CHUNK < 47 * 47 <= 2 * _CHUNK\n"
+        "chunk = DENSE_MAX_AMPLITUDES >> 11\n"
+        "assert chunk < 47 * 47 <= 2 * chunk\n"
         "sys.stdout.buffer.write(_PLANS['statevector'](enc, circuit).tobytes())\n"
     )
-    env = dict(os.environ, QUANVSEG_THREADS=str(threads))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, check=True)
     return out.stdout
@@ -538,23 +556,3 @@ def _dense_bytes(blas_threads):
 
 def test_blas_thread_count_does_not_change_dense_bytes():
     assert _dense_bytes(1) == _dense_bytes(2)
-
-
-def test_threads_env_validation():
-    from quanvseg.quanvolution import n_threads
-
-    old = os.environ.get("QUANVSEG_THREADS")
-    try:
-        os.environ["QUANVSEG_THREADS"] = "3"
-        assert n_threads() == 3
-        os.environ["QUANVSEG_THREADS"] = "soon"
-        with pytest.raises(ConfigError):
-            n_threads()
-        os.environ["QUANVSEG_THREADS"] = "0"
-        with pytest.raises(ConfigError):
-            n_threads()
-    finally:
-        if old is None:
-            os.environ.pop("QUANVSEG_THREADS", None)
-        else:
-            os.environ["QUANVSEG_THREADS"] = old
