@@ -11,7 +11,8 @@ n - m bits are 0.  One of two plans is chosen from (m, n):
   with one coefficient per choice of (1, cos theta_j, sin theta_j) on
   every encoded qubit: 3**m per measured qubit (Schuld, Sweke & Meyer,
   arXiv:2008.08605).  The coefficients are compiled once per
-  (CircuitSpec, m) and cached; evaluation is one GEMM per chunk.
+  (CircuitSpec, m), factored where they have low rank, and cached;
+  evaluation is one or two GEMMs per chunk.
 * statevector (above that): every window is simulated on a batch of
   2**n-amplitude state vectors, in chunks of at most DENSE_MAX_AMPLITUDES
   amplitudes, one chunk at a time.
@@ -24,42 +25,55 @@ windows reach is simulated as one batch of 2**m basis states.  For a
 real product state psi, <Z_q> = psi A_q psi with A_q = Re(V diag(S_q)
 V^+) = 2 Re(V_0 V_0^+) - I, V_0 being the columns in which qubit q is 0;
 rewriting each qubit's (row bit, column bit) pair in the basis (1,
-cos theta, sin theta) gives the coefficients.  V is a
-temporary: only C, of n * 3**a x 3**b, is kept (1.9 MB at m = 9, n = 12).
+cos theta, sin theta) gives the coefficients, one 3**a x 3**b matrix C_q
+per qubit (a and b below).  V is freed first; then each C_q's SVD gives
+its numerical rank r_q, and C_q is kept as factors L_q (r_q x 3**a) and
+W_q (r_q x 3**b), C_q = L_q^T W_q, when r_q (3**a + 3**b) < 3**a 3**b,
+else whole.  The choice comes from the circuit alone.
 
 Evaluate.  The encoded qubits split into a = m // 2 head and b = m - a
 tail qubits, and a window's features into head features Fh (3**a) and
-tail features Ft (3**b), each a product of per-qubit (1, cos, sin).
-G = C @ Ft is one GEMM per chunk, and <Z_q> = sum_alpha G[q, alpha]
-Fh[alpha].  The split is what makes this cheap: the unsplit form needs
-all 3**m features of every window (4096 x 19683 float64, 645 MB, at
-m = 9) and a memory-bound GEMM with only n output columns, while the
-split form stores 3**a + 3**b features a window (324 at m = 9) and does
-the same n * 3**m multiply-adds as a compute-bound GEMM.
+tail features Ft (3**b), each a product of per-qubit (1, cos, sin), so
+<Z_q> = Fh . (C_q @ Ft).  G = T @ Ft is one GEMM per chunk, T stacking
+the whole C_q and then every W_q; a whole qubit's <Z_q> is sum_alpha
+G[q, alpha] Fh[alpha].  For the factored ones, H = L @ Fh is one more
+GEMM over the stacked L_q, and <Z_q> sums H * G over q's r_q rows.  The
+split is what makes this cheap: the unsplit form needs all 3**m features
+of every window (4096 x 19683 float64, 645 MB, at m = 9) and a
+memory-bound GEMM with only n output columns, while the split form
+stores 3**a + 3**b features a window (324 at m = 9).  Windows are padded
+to a multiple of 8 (chunks hold 2048), because OpenBLAS 0.3.31 rounds a
+GEMM with another column count differently on 1 and 2 threads.
 
-Cost per window: n * 3**m multiply-adds, against 2**(m + n) (twice that
-for complex circuits) for evaluating |psi V|^2 directly: 177k against
-262k at m = n = 9, and 236k against 4.19M at m = 9, n = 12 complex.
-The cap of 2**22 amplitudes now bounds the memory and time of the
-compile, which holds V: it lets 3x3 windows (m = 9) run dense up to
-n = 13 (quanvolve encodes m = k**2 qubits).  On 2 cores (numpy 2.4.6,
-OpenBLAS 0.3.31), for a 64x64 scene (4096 windows) of a 2-layer circuit
-with m = 9, evaluation took 31-42 ms at n = 12 and 39-46 ms at n = 13
-(strongly_entangled), where |psi V|^2 took about 0.46 s and 1 s, and
-20-30 ms against 36-41 ms at n = 9 (basic_entangled).  Simulating V
-took 0.11-0.14 s at n = 12 and 0.21-0.24 s at n = 13 (strongly_entangled,
-1.7-1.8 s and 4.3-4.6 s with one elementwise pass per gate), so a cold
-call (compile plus one scene) took 0.42-0.53 s and 0.92-1.02 s.  The
-statevector plan took 1.1-1.5 s for 4096 windows at n = 12 (135 MB
-peak RSS; 8.7-9.1 s and 679 MB with one pass per gate on a 2-thread
-pool).
+Cost per window: sum_q min(r_q (3**a + 3**b), 3**a 3**b) multiply-adds,
+at most n * 3**m, against 2**(m + n) (twice that for complex circuits)
+for evaluating |psi V|^2 directly.  At m = 9 (81 x 243 C_q, factored
+for r_q <= 60), measured on the three templates (seed 42, n = 9 and
+12): one layer gives r_q = 1 on every qubit; two layers 2-10 on the
+entangling templates (44-64 rows in all against 729-972) and 1-3 on
+random; three layers 10-81 on the entangling templates, where 6-10 of
+9-12 qubits factor, and at most 3 on random; from four layers the
+entangling templates keep every C_q whole (r_q 70-81), while random
+still factors most qubits.  The cap of 2**22 amplitudes bounds the
+memory and time of the compile, which holds V: it lets 3x3 windows
+(m = 9) run dense up to n = 13 (quanvolve encodes m = k**2 qubits).
+On 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), for a 64x64 scene (4096
+windows) with m = 9, evaluation of a 2-layer circuit took 5.8-6.9 ms at
+n = 12 (strongly_entangled) and 5.5-6.9 ms at n = 9 (basic_entangled),
+against 28-36 ms and 22-28 ms with every C_q whole; 3-layer circuits
+took 15-24 ms (22-35 ms whole), and a 4-layer basic_entangled circuit at
+n = 9, which keeps every C_q whole, 18-23 ms (22-26 ms before the
+factoring).  The SVDs add 25-45 ms to a compile at m = 9.  Simulating V
+took 0.11-0.14 s at n = 12 and 0.21-0.24 s at n = 13
+(strongly_entangled).  The statevector plan took 1.1-1.5 s for 4096
+windows at n = 12 (135 MB peak RSS).
 
 Both plans encode windows with one helper, _products: the products of
 per-qubit factors over the first half of the qubits and over the rest
 each come from a short ladder, and one outer product of the two is
 written in place, with windows along the last axis.  The dense plan
 calls it on (1, cos theta, sin theta) for Fh and Ft, in buffers it
-reuses across chunks, as it reuses G; the statevector plan calls it,
+reuses across chunks, as it reuses G and H; the statevector plan calls it,
 through _product_states, on (cos theta/2, sin theta/2) and writes the
 product states into the amplitudes j << (n - m) of its zeroed batch.
 
@@ -72,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,15 +151,31 @@ def _trig_coefficients(form, n_encoded):
     return x.reshape(-1)
 
 
-@functools.lru_cache(maxsize=8)
-def _coefficients(spec: CircuitSpec, n_encoded: int):
-    """C (n * 3**a, 3**b), read-only: <Z_q> of a window is Fh . (C @ Ft)[q].
+class _Factors(NamedTuple):
+    """The dense plan's compiled coefficients, one block of rows per qubit.
 
-    a = m // 2 head and b = m - a tail qubits.  Row q * 3**a + alpha,
-    column beta, is the coefficient of <Z_q> on head feature alpha times
-    tail feature beta.  <Z_q> = psi A_q psi with A_q = Re(V diag(S_q) V^+)
-    = 2 Re(V_0 V_0^+) - I, V_0 being the columns of V in which qubit q is
-    0, because the rows of V are orthonormal.  V is not kept.
+    Qubit q's 3**a x 3**b coefficient matrix C_q (head features by tail
+    features) is kept whole, or as low-rank factors L_q (r_q x 3**a) and
+    W_q (r_q x 3**b) with C_q = L_q^T W_q when r_q (3**a + 3**b) < 3**a
+    3**b.  order lists the kept-whole qubits, then the factored ones.
+    tail stacks their C_q, then their W_q; head stacks their L_q, and
+    starts holds the first row of each L_q in head.  Arrays are read-only.
+    """
+
+    order: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    starts: np.ndarray
+
+
+def _qubit_coefficients(spec: CircuitSpec, n_encoded: int):
+    """C (n, 3**a, 3**b): <Z_q> of a window is Fh . (C[q] @ Ft).
+
+    a = m // 2 head and b = m - a tail qubits.  C[q][alpha, beta] is the
+    coefficient of <Z_q> on head feature alpha times tail feature beta.
+    <Z_q> = psi A_q psi with A_q = Re(V diag(S_q) V^+) = 2 Re(V_0 V_0^+) - I,
+    V_0 being the columns of V in which qubit q is 0, because the rows of V
+    are orthonormal.  V is freed on return.
     """
     n, m = spec.n_qubits, n_encoded
     a = m // 2
@@ -162,9 +193,38 @@ def _coefficients(spec: CircuitSpec, n_encoded: int):
         form *= 2.0
         form[np.diag_indices(1 << m)] -= 1.0
         coef[q] = _trig_coefficients(form, m).reshape(3**a, -1)
-    coef = coef.reshape(-1, coef.shape[2])
-    coef.flags.writeable = False
     return coef
+
+
+@functools.lru_cache(maxsize=8)
+def _coefficients(spec: CircuitSpec, n_encoded: int) -> _Factors:
+    """Each qubit's C_q, factored at its numerical rank where that is cheaper.
+
+    The rank r_q (at least 1) counts the singular values of C_q above
+    numpy's matrix_rank tolerance, s_0 * max(3**a, 3**b) * eps, with s_0
+    the largest singular value of any qubit's C_q: the compile's rounding
+    is set by the largest coefficients, so a qubit whose polynomial is
+    small keeps no rows of rounding noise.
+    """
+    coef = _qubit_coefficients(spec, n_encoded)
+    n, n_head, n_tail = coef.shape
+    u, s, wt = np.linalg.svd(coef, full_matrices=False)
+    tol = s[:, 0].max() * max(n_head, n_tail) * np.finfo(s.dtype).eps
+    ranks = np.maximum(1, np.count_nonzero(s > tol, axis=1))
+    factored = ranks * (n_head + n_tail) < n_head * n_tail
+    whole = np.flatnonzero(~factored)
+    qubits = np.flatnonzero(factored)
+    factors = _Factors(
+        order=np.concatenate([whole, qubits]),
+        tail=np.concatenate([coef[whole].reshape(-1, n_tail)]
+                            + [wt[q, :ranks[q]] for q in qubits]),
+        head=np.concatenate([np.empty((0, n_head))]
+                            + [(u[q, :, :ranks[q]] * s[q, :ranks[q]]).T for q in qubits]),
+        starts=np.cumsum(ranks[qubits]) - ranks[qubits],
+    )
+    for arr in factors:
+        arr.flags.writeable = False
+    return factors
 
 
 def _ladder(factors):
@@ -205,27 +265,47 @@ def _product_states(enc, out=None):
 
 
 def _dense_windows(enc, spec):
-    """Z expectations (N, n) of windows encoded on m qubits (N, m), via C."""
+    """Z expectations (N, n) of windows encoded on m qubits (N, m), via _Factors."""
     n_windows, m = enc.shape
-    n, a = spec.n_qubits, m // 2
-    coef = _coefficients(spec, m)
-    # Filled one qubit per row, so each chunk writes contiguous runs.
-    out = np.empty((n, n_windows))
-    # The head and tail features and G, one window per column, reused by
+    a = m // 2
+    factors = _coefficients(spec, m)
+    whole = len(factors.order) - len(factors.starts)
+    # Windows are padded to a multiple of 8 (with angle 0), so every GEMM
+    # has a column count for which OpenBLAS gives the same bits whatever
+    # its thread count; _CHUNK is a multiple of 8 too.
+    padded = -(-n_windows // 8) * 8
+    angles = np.zeros((m, padded))
+    angles[:, :n_windows] = enc.T
+    # Filled one qubit per row, in factors.order, so each chunk writes
+    # contiguous runs.
+    out = np.empty((len(factors.order), padded))
+    # The per-qubit (1, cos, sin), the head and tail features, G = tail
+    # rows @ Ft and H = head rows @ Fh, one window per column, reused by
     # every chunk.
-    rows = min(n_windows, _CHUNK)
-    head = np.empty((3**a, rows))
-    tail = np.empty((coef.shape[1], rows))
-    g = np.empty((coef.shape[0], rows))
-    for lo, hi in _chunks(n_windows, _CHUNK):
+    cols = min(padded, _CHUNK)
+    trig = np.empty((m, 3, cols))
+    trig[:, 0] = 1.0
+    head = np.empty((3**a, cols))
+    tail = np.empty((factors.tail.shape[1], cols))
+    g = np.empty((factors.tail.shape[0], cols))
+    h = np.empty((factors.head.shape[0], cols))
+    split = whole * 3**a
+    ends = np.append(factors.starts[1:], len(h))
+    for lo, hi in _chunks(padded, _CHUNK):
         w = hi - lo
-        theta = enc[lo:hi].T
-        factors = np.stack((np.ones_like(theta), np.cos(theta), np.sin(theta)), axis=1)
-        _products(factors[:a], head[:, :w])
-        _products(factors[a:], tail[:, :w])
-        gw = np.matmul(coef, tail[:, :w], out=g[:, :w])
-        np.einsum("qaw,aw->qw", gw.reshape(n, 3**a, w), head[:, :w], out=out[:, lo:hi])
-    return out.T
+        np.cos(angles[:, lo:hi], out=trig[:, 1, :w])
+        np.sin(angles[:, lo:hi], out=trig[:, 2, :w])
+        _products(trig[:a, :, :w], head[:, :w])
+        _products(trig[a:, :, :w], tail[:, :w])
+        gw = np.matmul(factors.tail, tail[:, :w], out=g[:, :w])
+        np.einsum("qaw,aw->qw", gw[:split].reshape(whole, 3**a, w), head[:, :w],
+                  out=out[:whole, lo:hi])
+        # A factored qubit's <Z_q> sums (L_q Fh) * (W_q Ft) over its r_q rows.
+        hw = np.matmul(factors.head, head[:, :w], out=h[:, :w])
+        hw *= gw[split:]
+        for row, start, end in zip(range(whole, len(out)), factors.starts, ends):
+            np.sum(hw[start:end], axis=0, out=out[row, lo:hi])
+    return out[np.argsort(factors.order), :n_windows].T
 
 
 def _statevector_windows(enc, spec):

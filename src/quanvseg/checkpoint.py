@@ -116,20 +116,21 @@ def load_checkpoint(prefix):
     is the QuanvConfig of the preprocessing, circuit included.
     """
     prefix = str(prefix)
-    lines = read_text(prefix + ".manifest").split("\n")
+    manifest = prefix + ".manifest"
+    lines = read_text(manifest).split("\n")
     if not lines or lines[0] != MANIFEST_MAGIC:
-        raise FileFormatError(f"not a checkpoint manifest: {prefix}.manifest")
+        raise FileFormatError(f"not a checkpoint manifest: {manifest}")
     header: dict[str, tuple[str, str]] = {}  # key -> (value, "<file> line <n>")
     tensor_lines = []
     tensor_names: set[str] = set()
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
-        where = f"{prefix}.manifest line {lineno}"
+        where = f"{manifest} line {lineno}"
         fields = ln.split()
         if fields[0] in ("param", "stat"):
             if len(fields) != 4:
-                raise FileFormatError(f"bad tensor line in manifest: {ln!r}")
+                raise FileFormatError(f"{where}: bad tensor line {ln!r}")
             kind, name, dims, offset_text = fields
             shape = tuple(_int(v, where) for v in dims.split(","))
             offset = _int(offset_text, where)
@@ -144,7 +145,7 @@ def load_checkpoint(prefix):
                 raise FileFormatError(f"{where}: repeated header {fields[0]!r}")
             header[fields[0]] = (fields[1], where)
         else:
-            raise FileFormatError(f"bad manifest line: {ln!r}")
+            raise FileFormatError(f"{where}: bad manifest line {ln!r}")
 
     def header_int(key):
         text, where = header[key]
@@ -163,18 +164,18 @@ def load_checkpoint(prefix):
             upsample=header["upsample"][0],
         )
     except KeyError as exc:
-        raise FileFormatError(f"manifest missing header {exc}") from None
+        raise FileFormatError(f"{manifest}: missing header {exc}") from None
     except ConfigError as exc:
-        raise FileFormatError(f"{prefix}.manifest: {exc}") from None
+        raise FileFormatError(f"{manifest}: {exc}") from None
     dtype_text = header.get("dtype", ("float32",))[0]
     try:
         dtype = np.dtype(dtype_text)
     except TypeError:
-        raise FileFormatError(f"{prefix}.manifest: unknown dtype {dtype_text!r}") from None
+        raise FileFormatError(f"{manifest}: unknown dtype {dtype_text!r}") from None
 
     for key in ("tensors.bytes", "tensors.crc32"):
         if key not in header:
-            raise FileFormatError(f"manifest missing header {key!r}")
+            raise FileFormatError(f"{manifest}: missing header {key!r}")
     n_bytes = header_int("tensors.bytes")
     crc_text, where = header["tensors.crc32"]
     if not re.fullmatch(r"[0-9a-f]{8}", crc_text):
@@ -210,27 +211,27 @@ def load_checkpoint(prefix):
     stats: dict[str, np.ndarray] = {}
     for kind, name, shape in parameter_shapes(config):
         if name not in loaded:
-            raise FileFormatError(f"checkpoint is missing tensor {name}")
+            raise FileFormatError(f"{manifest}: missing tensor {name}")
         stored_kind, arr = loaded.pop(name)
         if stored_kind != kind or arr.shape != shape:
             raise FileFormatError(
-                f"tensor {name}: expected {kind} {shape}, "
+                f"{manifest}: tensor {name}: expected {kind} {shape}, "
                 f"found {stored_kind} {arr.shape}"
             )
         (params if kind == "param" else stats)[name] = arr
     if loaded:
-        raise FileFormatError(f"checkpoint has surplus tensors: {sorted(loaded)}")
+        raise FileFormatError(f"{manifest}: surplus tensors {sorted(loaded)}")
 
     quanv_config = None
     if "circuit" in header:
         for key in _QUANV_KEYS + ("circuit.crc32",):
             if key not in header:
-                raise FileFormatError(f"manifest missing header {key}")
+                raise FileFormatError(f"{manifest}: missing header {key!r}")
         circuit_path = os.path.join(os.path.dirname(prefix) or ".", header["circuit"][0])
         text = read_text(circuit_path)
         if f"{zlib.crc32(text.encode('ascii')):08x}" != header["circuit.crc32"][0]:
             raise FileFormatError(f"{circuit_path}: does not match circuit.crc32 in "
-                                  f"{prefix}.manifest; it changed after the save")
+                                  f"{manifest}; it changed after the save")
         with located(circuit_path):
             spec = parse_circuit(text)
         try:
@@ -243,6 +244,6 @@ def load_checkpoint(prefix):
             )
         except ConfigError as exc:
             # The settings come from the checkpoint file, not from the user.
-            raise FileFormatError(f"checkpoint quanvolution settings: {exc}") from None
+            raise FileFormatError(f"{manifest}: quanvolution settings: {exc}") from None
     model = AttentionUNet(config, params, stats, dtype=dtype)
     return model, quanv_config

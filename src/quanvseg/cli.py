@@ -152,8 +152,12 @@ DEFAULTS = {
 
 
 def load_config(path=None, overrides=()):
-    """Defaults, then the config file, then --set overrides, in order."""
-    pairs = []
+    """Defaults, then the config file, then --set overrides, in order.
+
+    An error in a file's key or value names its `path:lineno`, one from
+    an override names --set.
+    """
+    pairs = []  # (key, value text, where it came from)
     if path is not None:
         try:
             raw_lines = read_text(path).split("\n")
@@ -166,17 +170,20 @@ def load_config(path=None, overrides=()):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, text = line.split("=", 1)
-            pairs.append((key.strip(), text.strip()))
+            pairs.append((key.strip(), text.strip(), f"{path}:{lineno}"))
     for raw in overrides:
         if "=" not in raw:
             raise ConfigError(f"--set needs KEY=VALUE, got {raw!r}")
         key, text = raw.split("=", 1)
-        pairs.append((key.strip(), text.strip()))
+        pairs.append((key.strip(), text.strip(), "--set"))
     cfg = dict(DEFAULTS)
-    for key, text in pairs:
+    for key, text, where in pairs:
         if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = CONFIG_SCHEMA[key](key, text)
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            cfg[key] = CONFIG_SCHEMA[key](key, text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return cfg
 
 

@@ -80,6 +80,33 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("data.s4ri6e = 16", "unknown config key 'data.s4ri6e'"),
+    ("data.stride = =16", "data.stride must be an integer, got '=16'"),
+    ("quanv.padding = wrap", "quanv.padding must be one of"),
+    ("train.lr = 0", "train.lr must be a finite number > 0, got 0.0"),
+])
+def test_config_file_errors_name_their_line_and_exit_2(tmp_path, capsys, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"model.depth = 2\n# comment\n{line}\n")
+    assert main(["param-count", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:3: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("bogus.key=1", "unknown config key 'bogus.key'"),
+    ("model.depth=deep", "model.depth must be an integer, got 'deep'"),
+])
+def test_set_errors_name_the_flag_and_exit_2(tmp_path, capsys, override, message):
+    config = tmp_path / "run.cfg"
+    config.write_text("model.depth = 2\n")
+    assert main(["param-count", "--config", str(config), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set: ") and message in err
+
+
 def test_unknown_config_key_exits_2(workdir, capsys):
     code = main(["make-patches", "--scene", workdir["scene"],
                  "--mask", workdir["mask"], "--outdir",
@@ -119,7 +146,9 @@ def test_out_of_range_value_exits_2(workdir, tmp_path, capsys, case):
     }[command]
     assert main([command] + base + flags) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ")
+    # A config value names where it came from; a flag's error names the flag.
+    where = "--set: " if flags[0] == "--set" else ""
+    assert err.startswith(f"error: {where}{key} must be ")
     assert "Traceback" not in err
     assert not os.listdir(tmp_path)
 
@@ -395,8 +424,15 @@ MANIFEST_DEFECTS = {
     "tensors-bytes": (r"^tensors\.bytes \d+$", "tensors.bytes many", "expected an integer"),
     "tensors-crc32": (r"^tensors\.crc32 [0-9a-f]{8}$", "tensors.crc32 1234567g",
                       "expected 8 hex digits"),
-    "no-tensors-bytes": (r"^tensors\.bytes \d+\n", "", "manifest missing header 'tensors.bytes'"),
-    "no-tensors-crc32": (r"^tensors\.crc32 \w+\n", "", "manifest missing header 'tensors.crc32'"),
+    "no-tensors-bytes": (r"^tensors\.bytes \d+\n", "", "missing header 'tensors.bytes'"),
+    "no-tensors-crc32": (r"^tensors\.crc32 \w+\n", "", "missing header 'tensors.crc32'"),
+    "no-depth": (r"^depth 2\n", "", "missing header 'depth'"),
+    "no-param": (r"^param head\.b .*\n", "", "missing tensor head.b"),
+    "short-tensor-line": (r"^(param enc0\.conv1\.b \S+) \d+$", r"\1", "line 9: bad tensor line"),
+    "bad-line": (r"^(depth 2)$", r"\1 3", "line 3: bad manifest line"),
+    "surplus-tensor": (r"^param enc0\.conv1\.w (\S+) 0$",
+                       r"param enc0.conv1.w \1 0\nparam extra.w \1 0", "surplus tensors ['extra.w']"),
+    "wrong-kind": (r"^param head\.b ", "stat head.b ", "tensor head.b: expected param"),
 }
 
 
@@ -414,6 +450,7 @@ def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert f"{prefix}.manifest" in err
 
 
 def quanv_checkpoint(prefix, seed=0):
@@ -425,7 +462,8 @@ def quanv_checkpoint(prefix, seed=0):
 
 
 @pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
-                                           ("quanv.kernel 0", "kernel_size must be >= 1")])
+                                           ("quanv.kernel 0", "kernel_size must be >= 1"),
+                                           ("", "missing header 'quanv.kernel'")])
 def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, message):
     prefix = str(tmp_path / "qckpt")
     quanv_checkpoint(prefix)
@@ -437,6 +475,7 @@ def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, messag
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert f"{prefix}.manifest" in err
 
 
 # ---------------------------------------------------------------------

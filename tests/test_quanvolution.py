@@ -333,10 +333,12 @@ def test_dense_plan_allocates_no_per_chunk_temporaries():
     """Peak traced allocation of a three-chunk call at m = n = 9.
 
     The plan holds the head features (81 per window), the tail features
-    (243) and G (9 * 81), about 2.1 (chunk, 512) buffers together; every
-    other array is a small fraction of one.  Per-chunk full-size
-    temporaries (a ladder of stacks, fresh GEMM outputs) push the peak
-    past 2.5.
+    (243), each angle's (1, cos, sin) (27) and G and H (46 rows each for
+    this circuit), about 0.9 (chunk, 512) buffers together; every other
+    array is a small fraction of one.  With every C_q whole, G holds
+    9 * 81 rows, about 2.1 buffers in all.  Per-chunk full-size
+    temporaries (a ladder of stacks, fresh GEMM outputs) push that past
+    2.5.
     """
     circuit = build_circuit("basic_entangled", 9, 2, seed=16)
     _coefficients(circuit, 9)  # compile first: the cached coefficients are not counted
@@ -385,27 +387,63 @@ def trig_features(angles):
     return out
 
 
+def qubit_coefficients(factors, n_head):
+    """Each qubit's C_q (3**a, 3**b), rebuilt from the compiled rows."""
+    whole = len(factors.order) - len(factors.starts)
+    ends = np.append(factors.starts[1:], factors.head.shape[0])
+    kept = factors.tail[:whole * n_head].reshape(whole, n_head, factors.tail.shape[1])
+    low_rank = factors.tail[whole * n_head:]
+    coef = dict(zip(factors.order[:whole], kept))
+    for q, lo, hi in zip(factors.order[whole:], factors.starts, ends):
+        coef[q] = factors.head[lo:hi].T @ low_rank[lo:hi]
+    return [coef[q] for q in range(len(factors.order))]
+
+
+def assert_coefficients_match_oracle(circuit, n_encoded):
+    """<Z_q> = Fh . (C_q @ Ft), features built here, against gate matrices.
+
+    Returns the compiled coefficients after checking their layout.
+    """
+    n_qubits = circuit.n_qubits
+    factors = _coefficients(circuit, n_encoded)
+    a = n_encoded // 2
+    n_head, n_tail = 3**a, 3 ** (n_encoded - a)
+    assert sorted(factors.order) == list(range(n_qubits))
+    ranks = np.diff(np.append(factors.starts, factors.head.shape[0]))
+    # A qubit is factored only when its rows cost fewer multiply-adds.
+    assert np.all(ranks >= 1) and np.all(ranks * (n_head + n_tail) < n_head * n_tail)
+    whole = n_qubits - len(ranks)
+    assert factors.tail.shape == (whole * n_head + ranks.sum(), n_tail)
+    assert factors.head.shape == (ranks.sum(), n_head)
+    assert not any(arr.flags.writeable for arr in factors)
+    coef = qubit_coefficients(factors, n_head)
+    enc = math.pi * np.random.default_rng(21).uniform(size=(6, n_encoded))
+    enc[0] = 0.0
+    enc[1] = math.pi
+    got = [[trig_features(w[:a]) @ c @ trig_features(w[a:]) for c in coef] for w in enc]
+    full = np.pad(enc, ((0, 0), (0, n_qubits - n_encoded)))
+    npt.assert_allclose(got, oracle_expectations(circuit, full), rtol=0, atol=1e-9)
+    return factors
+
+
 @pytest.mark.parametrize("n_encoded, n_qubits",
                          [(1, 1), (1, 3), (4, 4), (4, 6), (5, 5), (5, 7), (9, 9), (9, 11)])
 @pytest.mark.parametrize("template", TEMPLATES)
 def test_coefficients_reproduce_window_oracle(template, n_encoded, n_qubits):
-    """<Z_q> = Fh . (C @ Ft)[q], features built here, against gate matrices.
-
-    The 11-qubit oracle multiplies 2048 x 2048 gate matrices, so that
-    circuit has one layer; the others have two.
+    """The 11-qubit oracle multiplies 2048 x 2048 gate matrices, so that
+    circuit has one layer; the others have two.  m = 1 keeps every C_q
+    whole, m = 9 factors every one, and m = 4 and 5 factor some.
     """
     circuit = build_circuit(template, n_qubits, 1 if n_qubits > 9 else 2, seed=20)
-    coef = _coefficients(circuit, n_encoded)
-    a = n_encoded // 2
-    assert coef.shape == (n_qubits * 3**a, 3 ** (n_encoded - a))
-    assert not coef.flags.writeable
-    enc = math.pi * np.random.default_rng(21).uniform(size=(6, n_encoded))
-    enc[0] = 0.0
-    enc[1] = math.pi
-    got = [(coef @ trig_features(w[a:])).reshape(n_qubits, -1) @ trig_features(w[:a])
-           for w in enc]
-    full = np.pad(enc, ((0, 0), (0, n_qubits - n_encoded)))
-    npt.assert_allclose(got, oracle_expectations(circuit, full), rtol=0, atol=1e-9)
+    assert_coefficients_match_oracle(circuit, n_encoded)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_four_layer_coefficients_reproduce_window_oracle(template):
+    """At four layers the entangling templates keep every C_q whole."""
+    factors = assert_coefficients_match_oracle(build_circuit(template, 9, 4, seed=20), 9)
+    if template != "random":
+        assert len(factors.starts) == 0
 
 
 def test_real_circuits_compile_in_float64():
@@ -476,8 +514,10 @@ def test_3x3_windows_on_12_qubits_compile_the_encoded_block_once():
     info = _coefficients.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first.tobytes() == second.tobytes()
-    # 12 qubits x 3**4 head features by 3**5 tail features.
-    assert _coefficients(circuit, 9).shape == (12 * 81, 243)
+    # At one layer every qubit's 3**4 x 3**5 C_q has rank 1: one row of
+    # head and one of tail coefficients each, in place of 12 * 81 rows.
+    factors = _coefficients(circuit, 9)
+    assert (factors.head.shape, factors.tail.shape) == ((12, 81), (12, 243))
 
 
 def test_dense_plan_compiles_once_per_spec():
@@ -542,7 +582,7 @@ def _dense_bytes(blas_threads):
         "from quanvseg.backend import plan_name\n"
         "from quanvseg.quanvolution import QuanvConfig, quanvolve\n"
         "assert plan_name(9, 9) == 'dense'\n"
-        "for size in (37, 64):\n"
+        "for size in (37, 50, 64):\n"
         "    image = np.random.default_rng(size).uniform(size=(size, size))\n"
         "    for template in TEMPLATES:\n"
         "        config = QuanvConfig(circuit=build_circuit(template, 9, 2, seed=14))\n"
