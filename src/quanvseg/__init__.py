@@ -6,6 +6,7 @@ attention-gated U-Net with hand-derived gradients consumes either the
 raw band or the quanvoluted stack.
 """
 
+from . import _heap  # noqa: F401  (sets the process's allocator policy)
 from .datapipe import (
     PatchItem,
     PatchSet,

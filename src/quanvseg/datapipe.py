@@ -122,16 +122,27 @@ def load_patch_dir(path) -> tuple[PatchSet, PatchSet]:
     lines = [(lineno, ln.split())
              for lineno, ln in enumerate(read_text(index).split("\n"), start=1) if ln.strip()]
     entries = []
+    # Origins name predict's output files, so each must be a distinct
+    # in-scene position.
+    seen: dict[tuple[int, int], int] = {}
     for lineno, fields in lines:
         if len(fields) != 4 or fields[1] not in ("train", "test"):
             raise FileFormatError(f"{index} line {lineno}: bad index line: {' '.join(fields)!r}")
         _, label, row, col = fields
         try:
-            entries.append((label, int(row), int(col)))
+            origin = (int(row), int(col))
         except ValueError:
             raise FileFormatError(
                 f"{index} line {lineno}: row and col must be integers, got {row!r} {col!r}"
             ) from None
+        if min(origin) < 0:
+            raise FileFormatError(
+                f"{index} line {lineno}: row and col must be >= 0, got {row} {col}")
+        if origin in seen:
+            raise FileFormatError(f"{index} line {lineno}: origin {row} {col} repeats "
+                                  f"line {seen[origin]}")
+        seen[origin] = lineno
+        entries.append((label, *origin))
     buckets: dict[str, list[PatchItem]] = {"train": [], "test": []}
     if entries:
         images_path = os.path.join(path, IMAGES_FILE)

@@ -386,6 +386,22 @@ def test_index_non_integer_position_exits_1(workdir, tmp_path, capsys, bad_line)
     assert err.startswith("error: ") and "index.txt line 3" in err
 
 
+def test_predict_on_repeated_origin_exits_1(trained, workdir, tmp_path, capsys):
+    # Two patches at one origin would write one output file twice.
+    patches = tmp_path / "patches"
+    shutil.copytree(workdir["patches"], patches)
+    lines = (patches / "index.txt").read_text().splitlines()
+    lines[2] = " ".join(lines[2].split()[:2] + lines[0].split()[2:])
+    (patches / "index.txt").write_text("\n".join(lines) + "\n")
+    outdir = tmp_path / "preds"
+    code = main(["predict", "--patches", str(patches), "--checkpoint", trained["prefix"],
+                 "--split", "all", "--outdir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "index.txt line 3" in err
+    assert not outdir.exists()
+
+
 # (file, edit of the stacked array, header offset the error names)
 STACK_DEFECTS = {
     "images-short": ("images.qvt1", lambda a: a[1:], 6),

@@ -287,9 +287,18 @@ def test_patch_dir_rejects_corrupt_index(tmp_path):
     train, test = split(make_patchset(4), test_fraction=0.5, seed=0)
     save_patch_dir(tmp_path / "patches", train, test)
     index = tmp_path / "patches" / "index.txt"
-    index.write_text(index.read_text() + "p99999 neither 0 0\n")
+    good = index.read_text()
+    index.write_text(good + "p99999 neither 0 0\n")
     with pytest.raises(FileFormatError):
         load_patch_dir(tmp_path / "patches")
+    # Line 4's origin replaced: by line 1's, then by a negative one.
+    lines = good.splitlines()
+    first_origin = lines[0].split()[2:]
+    for origin, message in ((first_origin, "repeats line 1"), (["-32", "0"], ">= 0")):
+        lines[3] = " ".join(lines[3].split()[:2] + origin)
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"index.txt line 4: .*{message}"):
+            load_patch_dir(tmp_path / "patches")
 
 
 # ---------------------------------------------------------------------
