@@ -1,11 +1,13 @@
 """Attention-gated U-Net assembled from the hand-gradient ops.
 
 A model is a flat dict of named parameter arrays plus a parallel dict of
-batch-norm running statistics.  forward returns (output, tape): as it
-runs, each op appends its backward and cache to a Tape.  backward(tape,
-gy) replays that tape in reverse and returns (grads, gx) with gradient
-names matching parameter names, which keeps the optimizer and checkpoint
-code trivial; the layer sequence is written only in forward.
+batch-norm running statistics.  forward returns (output, tape): in train
+mode each op appends its backward and cache to the Tape as it runs, and
+backward(tape, gy) replays that tape in reverse and returns (grads, gx)
+with gradient names matching parameter names, which keeps the optimizer
+and checkpoint code trivial; the layer sequence is written only in
+forward.  Inference (train=False) records nothing, so each cache is freed
+as soon as its op returns.
 parameter_shapes is the single description of the topology: build_model,
 count_params, init_gate_params and the checkpoint loader all walk it.
 
@@ -142,15 +144,22 @@ class Tape:
     cache, input slots, parameter names).  The tape holds caches, never
     activations, so each activation is freed once its consumers have read
     it.  Ops are looked up on the ops module when they are recorded.
+
+    A tape made with replayable=False, as inference makes it, keeps no
+    entries: it runs the same ops, drops each cache as it arrives, names
+    every output slot None and refuses to replay.
     """
 
-    def __init__(self, params: dict, n_inputs: int):
+    def __init__(self, params: dict, n_inputs: int, replayable: bool = True):
         self.params = params
         self.n_inputs = n_inputs
+        self.replayable = replayable
         self.entries = []
 
     def record(self, backward, cache, slots, names):
-        """Append one op; returns the slot of its output."""
+        """Append one op; returns the slot of its output (None if not kept)."""
+        if not self.replayable:
+            return None
         self.entries.append((backward, cache, tuple(slots), tuple(names)))
         return self.n_inputs + len(self.entries) - 1
 
@@ -180,6 +189,9 @@ class Tape:
         a dict (a gate with its own tape) has them stored as "<name>.<key>".
         The tape is not changed, so replaying it twice gives the same bits.
         """
+        if not self.replayable:
+            raise StateError("tape comes from an inference forward (train=False), "
+                             "which keeps no caches; backward needs forward(x, train=True)")
         pending = {self.n_inputs + len(self.entries) - 1: gy}
         grads = {}
         for out_slot, (backward, cache, slots, names) in reversed(
@@ -199,7 +211,8 @@ class Tape:
 _GATE_CACHE_KEYS = frozenset({"tape", "psi", "psi_act", "psi_norm", "alpha", "rho"})
 
 
-def attention_gate_forward(g, x_i, params, stats, train: bool = False):
+def attention_gate_forward(g, x_i, params, stats, train: bool = False,
+                           record: bool = True):
     """Gate the skip features x_i by an attention map derived from g.
 
     Pipeline, in order: psi = conv1x1(g) + conv1x1(x_i); psi_act =
@@ -207,12 +220,14 @@ def attention_gate_forward(g, x_i, params, stats, train: bool = False):
     rho = conv1x1(alpha) down to one channel; output = rho * x_i with
     channel broadcast.  Returns (output, (new_bn_mean, new_bn_var),
     cache); the cache holds the gate's own two-input tape and keeps each
-    intermediate under its own key so tests can inspect the trace.
+    intermediate under its own key so tests can inspect the trace.  With
+    record=False, as an inference forward of the U-Net calls it, that tape
+    keeps no entries and cannot be replayed.
     """
     if g.ndim != 4 or x_i.ndim != 4 or g.shape[0] != x_i.shape[0] \
             or g.shape[2:] != x_i.shape[2:]:
         raise ShapeError(f"gate inputs misaligned: g {g.shape}, x {x_i.shape}")
-    tape = Tape(params, 2)
+    tape = Tape(params, 2, replayable=record)
     x = (x_i, 1)
     psi = tape.run("add", tape.run("conv2d", (g, 0), params=("wg.w", "wg.b")),
                    tape.run("conv2d", x, params=("wx.w", "wx.b")))
@@ -269,7 +284,10 @@ class AttentionUNet:
         """(N, in_channels, H, W) -> (probabilities (N, 1, H, W) in (0, 1), tape).
 
         Spatial dims must be multiples of 2^(depth-1).  Train mode
-        refreshes this model's batch-norm running statistics.
+        refreshes this model's batch-norm running statistics and returns a
+        tape that backward replays.  Inference (train=False) returns a tape
+        with no entries, which backward rejects: no op cache outlives its
+        op, so an inference forward holds only the live activations.
         """
         cfg = self.config
         x = np.asarray(x, dtype=self.dtype)
@@ -282,7 +300,7 @@ class AttentionUNet:
             raise ShapeError(
                 f"spatial dims must be multiples of {unit}, got {x.shape[2:]}"
             )
-        tape = Tape(self.params, 1)
+        tape = Tape(self.params, 1, replayable=train)
 
         def dconv(h, prefix):
             return self._conv_bn_relu(tape, h, ((f"{prefix}.conv1", f"{prefix}.bn1"),
@@ -304,7 +322,8 @@ class AttentionUNet:
                                        ((f"{up}.conv", f"{up}.bn"),), train)
             skip = skips.pop()
             gated, (new_mean, new_var), cache = attention_gate_forward(
-                h[0], skip[0], _group(self.params, gate), _group(self.stats, gate), train)
+                h[0], skip[0], _group(self.params, gate), _group(self.stats, gate), train,
+                record=train)
             if train:
                 self.stats[f"{gate}.bn.mean"] = new_mean
                 self.stats[f"{gate}.bn.var"] = new_var

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quanvseg import _heap
+from quanvseg import _heap, unet
 from quanvseg.checkpoint import load_checkpoint, save_checkpoint
 from quanvseg.datapipe import PatchItem, PatchSet
 from quanvseg.exceptions import (
@@ -323,6 +323,28 @@ def test_training_is_pinned(kind):
     assert model_digest(pinned_training_run(kind)) == TRAIN_DIGESTS[kind]
 
 
+# sha256 of the eval-mode output of build_model(cfg, seed=3) at the desk
+# widths, batch 8, 64x64, after one train-mode forward on another batch has
+# moved the batch-norm running statistics off their initial values.
+# Recorded while forward(train=False) still recorded a full tape, so the
+# no-record inference path is pinned to the bits of the recording one.
+INFERENCE_DIGESTS = {
+    ("transposed", 1): "a3e4fb9db513ec17df00e5331ece475234a3b2be1e5656076c99f06226db31bf",
+    ("transposed", 9): "548e0073ba2af8b9380b2e567874f39c4cb2403182ce3c2a4107213216a2c325",
+    ("nearest", 1): "019a56301343daa58614f006ce4ac45192a1fc6d032677379a02894097fd8bbf",
+    ("nearest", 9): "09f5ef8b8a7b85895a4d51ee840bdabeffe95ff99c8e30e100951a119d382434",
+}
+
+
+@pytest.mark.parametrize("kind,channels", sorted(INFERENCE_DIGESTS))
+def test_inference_is_pinned(kind, channels):
+    model = build_model(AttentionUNetConfig(in_channels=channels, upsample=kind), seed=3)
+    rng = np.random.default_rng(5)
+    model.forward(rng.uniform(size=(8, channels, 64, 64)).astype(np.float32), train=True)
+    out, _ = model.forward(rng.uniform(size=(8, channels, 64, 64)).astype(np.float32))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == INFERENCE_DIGESTS[kind, channels]
+
+
 def test_parameter_shapes_align_with_built_model():
     cfg = AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample="nearest")
     model = build_model(cfg)
@@ -341,11 +363,13 @@ def test_forward_shapes_and_range(kind):
     cfg = AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind)
     model = build_model(cfg, seed=0)
     x = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
-    out, tape = model.forward(x)
+    out, _ = model.forward(x)
     assert out.shape == (1, 1, 64, 64)
     assert np.all(out > 0.0) and np.all(out < 1.0)
     # one conv2d entry per kernel outside the gates and the transposed
-    # upsampling, and one gate entry per decoder level
+    # upsampling, and one gate entry per decoder level, on a train-mode
+    # tape (an inference tape keeps none)
+    _, tape = model.forward(x, train=True)
     kernels = [name for _, name, _ in parameter_shapes(cfg)
                if name.endswith(".w") and ".gate." not in name
                and not name.endswith(".up.w")]
@@ -387,6 +411,60 @@ def test_backward_rejects_foreign_tape():
     _, tape = other.forward(np.zeros((1, 1, 8, 8)))
     with pytest.raises(StateError):
         model.backward(tape, gy)
+
+
+@pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
+def test_inference_tape_keeps_no_entries(kind, monkeypatch):
+    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind))
+    gate_caches = []
+
+    def spy(*args, **kwargs):
+        result = attention_gate_forward(*args, **kwargs)
+        gate_caches.append(result[2])
+        return result
+
+    monkeypatch.setattr(unet, "attention_gate_forward", spy)
+    _, tape = model.forward(np.random.default_rng(0).uniform(size=(2, 1, 16, 16)))
+    assert not tape.replayable and tape.entries == []
+    assert len(gate_caches) == 2
+    for cache in gate_caches:
+        assert not cache["tape"].replayable and cache["tape"].entries == []
+
+
+def test_backward_rejects_inference_tape():
+    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    out, tape = model.forward(np.zeros((1, 1, 8, 8)), train=False)
+    with pytest.raises(StateError, match=r"train=False.*train=True"):
+        model.backward(tape, np.ones_like(out))
+
+
+def test_inference_forward_peaks_well_below_train_forward(traced_peak):
+    """Traced peaks at the desk widths, batch 8, 64x64.
+
+    The train forward holds every op's cache until it returns (31.6 MB);
+    the inference forward frees each as its op returns (17.8 MB).  A tape
+    that kept inference caches would peak like the train forward.
+    """
+    model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+    x = np.random.default_rng(0).uniform(size=(8, 1, 64, 64)).astype(np.float32)
+    train_peak = traced_peak(lambda: model.forward(x, train=True))
+    eval_peak = traced_peak(lambda: model.forward(x, train=False))
+    assert eval_peak < 0.7 * train_peak, f"{eval_peak / train_peak:.2f} of the train forward"
+
+
+def test_train_holds_one_tape_at_a_time(traced_peak):
+    """train over three batches peaks like train over one (36.9 vs 36.1 MB).
+
+    A step that kept its tape until the next forward returned held two
+    tapes at once, and three batches then peaked at 57.9 MB.
+    """
+    def peak(n_patches):
+        model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+        patches = toy_patches(n=n_patches, size=64)
+        return traced_peak(lambda: train(model, patches, TrainConfig(epochs=1, batch_size=8)))
+
+    one_step, three_steps = peak(8), peak(24)
+    assert three_steps < 1.1 * one_step, f"{three_steps / one_step:.2f} of one step"
 
 
 def test_forward_accepts_nine_channel_input():

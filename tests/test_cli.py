@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import hashlib
 import os
 import re
 import shutil
@@ -366,6 +367,23 @@ def test_predict_writes_one_pgm_per_patch(trained, workdir):
     values, maxval = read_pgm(os.path.join(outdir, files[0]))
     assert maxval == 255
     assert set(np.unique(values)) <= {0.0, 1.0}
+
+
+def test_predict_masks_are_pinned(trained, workdir, tmp_path):
+    """sha256 over (name, bytes) of every PGM a seeded predict writes.
+
+    Recorded while eval forwards still recorded a full tape; the masks
+    hold 2166 foreground pixels of 4096, so they pin the inference bits.
+    """
+    outdir = tmp_path / "preds"
+    assert main(["predict", "--patches", workdir["patches"],
+                 "--checkpoint", trained["prefix"], "--split", "all",
+                 "--outdir", str(outdir)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == \
+        "753ed1f15c66d24493463ae3d91e7cf3e12fd1e93e13c8aefd51508dcb4776c8"
 
 
 # ---------------------------------------------------------------------

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -317,19 +316,7 @@ def test_dense_plan_last_chunk_of_one_window_matches_oracle():
     npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
 
 
-def traced_peak(call):
-    """Peak traced allocation of call(), in bytes above what was live before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_dense_plan_allocates_no_per_chunk_temporaries():
+def test_dense_plan_allocates_no_per_chunk_temporaries(traced_peak):
     """Peak traced allocation of a three-chunk call at m = n = 9.
 
     The plan holds the head features (81 per window), the tail features
@@ -347,7 +334,7 @@ def test_dense_plan_allocates_no_per_chunk_temporaries():
     assert peak < 1.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} chunk buffers"
 
 
-def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers():
+def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers(traced_peak):
     """A 64x64 scene's windows at m = 9, n = 12: no (chunk, 4096) buffer.
 
     Evaluating |psi V|^2 held (chunk, 2**n) GEMM buffers, two of them for a
@@ -361,7 +348,7 @@ def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers():
     assert peak < 0.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} (chunk, 4096) buffers"
 
 
-def test_statevector_chunks_hold_a_bounded_number_of_amplitudes():
+def test_statevector_chunks_hold_a_bounded_number_of_amplitudes(traced_peak):
     """A three-chunk statevector call at m = 9, n = 12.
 
     The plan holds one chunk of DENSE_MAX_AMPLITUDES complex128 amplitudes
