@@ -26,10 +26,13 @@ real product state psi, <Z_q> = psi A_q psi with A_q = Re(V diag(S_q)
 V^+) = 2 Re(V_0 V_0^+) - I, V_0 being the columns in which qubit q is 0;
 rewriting each qubit's (row bit, column bit) pair in the basis (1,
 cos theta, sin theta) gives the coefficients, one 3**a x 3**b matrix C_q
-per qubit (a and b below).  V is freed first; then each C_q's SVD gives
-its numerical rank r_q, and C_q is kept as factors L_q (r_q x 3**a) and
-W_q (r_q x 3**b), C_q = L_q^T W_q, when r_q (3**a + 3**b) < 3**a 3**b,
-else whole.  The choice comes from the circuit alone.
+per qubit (a and b below).  Re(V_0 V_0^+) is summed over chunks of V_0's
+columns, copied into one buffer of at most max(4**m, 2**16) values, so
+the compile holds V and a few 2**m x 2**m (form-sized) buffers, never a
+copy of V_0; a V_0 that fits in one chunk is one syrk over all of it.
+V is freed first; then each C_q's SVD gives its numerical rank r_q, and
+C_q is kept as factors L_q (r_q x 3**a) and W_q (r_q x 3**b), C_q =
+L_q^T W_q, when r_q (3**a + 3**b) < 3**a 3**b, else whole.  The choice comes from the circuit alone.
 
 Evaluate.  The encoded qubits split into a = m // 2 head and b = m - a
 tail qubits, and a window's features into head features Fh (3**a) and
@@ -55,8 +58,12 @@ random; three layers 10-81 on the entangling templates, where 6-10 of
 9-12 qubits factor, and at most 3 on random; from four layers the
 entangling templates keep every C_q whole (r_q 70-81), while random
 still factors most qubits.  The cap of 2**22 amplitudes bounds the
-memory and time of the compile, which holds V: it lets 3x3 windows
-(m = 9) run dense up to n = 13 (quanvolve encodes m = k**2 qubits).
+memory and time of the compile, which holds V plus form-sized buffers:
+it lets 3x3 windows (m = 9) run dense up to n = 13 (quanvolve encodes
+m = k**2 qubits).  For 2-layer strongly_entangled at m = 9 the
+compile's traced peak was 43 MiB at n = 12 (V is 32 MiB) and 76 MiB at
+n = 13 (V is 64 MiB), against 55 and 104 MiB while it copied all of V_0
+for each qubit; the shorter syrks made a cold compile 3-27% slower.
 On 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), for a 64x64 scene (4096
 windows) with m = 9, evaluation of a 2-layer circuit took 5.8-6.9 ms at
 n = 12 (strongly_entangled) and 5.5-6.9 ms at n = 9 (basic_entangled),
@@ -91,11 +98,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .qsim.circuits import CircuitSpec
-from .qsim.state import apply_gates_batch, batch_dtype
+from .qsim.state import _BLOCK_AMPLITUDES, apply_gates_batch, batch_dtype
 
 # Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles;
-# it bounds the memory of the compile, not of the evaluation.  It also
-# bounds the amplitudes of one statevector-plan chunk.
+# it bounds the memory of the compile, which holds V plus a few 2**m x 2**m
+# (form-sized) buffers, not of the evaluation.  It also bounds the
+# amplitudes of one statevector-plan chunk.
 DENSE_MAX_AMPLITUDES = 1 << 22
 
 # The dense plan evaluates windows in chunks of this many, so its buffers
@@ -178,20 +186,36 @@ def _qubit_coefficients(spec: CircuitSpec, n_encoded: int):
     are orthonormal.  V is freed on return.
     """
     n, m = spec.n_qubits, n_encoded
-    a = m // 2
+    a, rows = m // 2, 1 << m
     v = _transfer_matrix(spec, m)
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    # Re(V_0 V_0^+) = [Re V_0, Im V_0] [Re V_0, Im V_0]^T, one syrk per qubit.
-    v0 = np.empty((1 << m, len(parts), 1 << (n - 1)))
-    flat = v0.reshape(1 << m, -1)
+    # Re(V_0 V_0^+) = [Re V_0, Im V_0] [Re V_0, Im V_0]^T, summed over
+    # chunks of `width` columns of V_0, one syrk each, in column order.
+    # The chunk buffer holds at most max(4**m, _BLOCK_AMPLITUDES) values;
+    # when V_0 fits in one chunk it is the whole (rows, parts, 2**(n - 1)).
+    width = min(max(rows, _BLOCK_AMPLITUDES // rows) // len(parts), 1 << (n - 1))
+    v0 = np.empty((rows, len(parts), width))
+    flat = v0.reshape(rows, -1)
+    form = np.empty((rows, rows))
+    gram = np.empty_like(form)
     coef = np.empty((n, 3**a, 3 ** (m - a)))
     for q in range(n):
-        split = v0.reshape(1 << m, len(parts), 1 << q, -1)
-        for i, part in enumerate(parts):
-            split[:, i] = part.reshape(1 << m, 1 << q, 2, -1)[:, :, 0, :]
-        form = flat @ flat.T
+        # V_0's columns (hi, lo): hi spells qubits 0..q-1, lo the ones after q.
+        # A chunk is `step` columns of one hi, or all columns of `span` his.
+        n_lo = 1 << (n - q - 1)
+        span, step = max(1, width // n_lo), min(width, n_lo)
+        halves = [part.reshape(rows, 1 << q, 2, n_lo)[:, :, 0, :] for part in parts]
+        split = v0.reshape(rows, len(parts), span, step)
+        chunks = [(hi, lo) for hi in range(0, 1 << q, span) for lo in range(0, n_lo, step)]
+        for k, (hi, lo) in enumerate(chunks):
+            for i, half in enumerate(halves):
+                split[:, i] = half[:, hi:hi + span, lo:lo + step]
+            if k == 0:
+                np.matmul(flat, flat.T, out=form)
+            else:
+                form += np.matmul(flat, flat.T, out=gram)
         form *= 2.0
-        form[np.diag_indices(1 << m)] -= 1.0
+        form[np.diag_indices(rows)] -= 1.0
         coef[q] = _trig_coefficients(form, m).reshape(3**a, -1)
     return coef
 

@@ -1,8 +1,11 @@
 """Attention gate traces, model assembly, training, and checkpoints."""
 
 import hashlib
+import os
 import platform
 import resource
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -321,6 +324,30 @@ def pinned_training_run(kind):
 @pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
 def test_training_is_pinned(kind):
     assert model_digest(pinned_training_run(kind)) == TRAIN_DIGESTS[kind]
+
+
+def _training_digests(blas_threads):
+    """TRAIN_DIGESTS' runs, both upsample kinds, in a subprocess with a fixed
+    BLAS thread count (set before numpy loads OpenBLAS)."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from test_attention_unet import model_digest, pinned_training_run\n"
+        "from quanvseg.unet import UPSAMPLE_KINDS\n"
+        "for kind in UPSAMPLE_KINDS:\n"
+        "    print(kind, model_digest(pinned_training_run(kind)))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True, text=True)
+    return dict(line.split() for line in out.stdout.splitlines())
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_training_bytes_hold_on_1_and_2_blas_threads(blas_threads):
+    """A new GEMM shape in the conv ops must keep the train step's bytes
+    whatever OpenBLAS's thread count, as the quanvolution plans do."""
+    assert _training_digests(blas_threads) == TRAIN_DIGESTS
 
 
 # sha256 of the eval-mode output of build_model(cfg, seed=3) at the desk

@@ -4,6 +4,7 @@ The reference route here re-evaluates every window through the dense
 unitary oracle, bypassing both evaluation plans entirely.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from quanvseg.qsim.circuits import (
 )
 from quanvseg.qsim.oracle import dense_unitary_oracle, gate_unitary
 from quanvseg.qsim.state import (
+    _BLOCK_AMPLITUDES,
     angle_encode,
     apply_gates_batch,
     measure_z_expectations,
@@ -34,7 +36,9 @@ from quanvseg.backend import (
     DENSE_MAX_AMPLITUDES,
     _coefficients,
     _product_states,
+    _qubit_coefficients,
     _transfer_matrix,
+    _trig_coefficients,
     backend_name,
     plan_name,
 )
@@ -430,6 +434,64 @@ def test_four_layer_coefficients_reproduce_window_oracle(template):
     factors = assert_coefficients_match_oracle(build_circuit(template, 9, 4, seed=20), 9)
     if template != "random":
         assert len(factors.starts) == 0
+
+
+def factors_digest(factors):
+    """sha256 of the compiled arrays, with their names, dtypes and shapes."""
+    digest = hashlib.sha256()
+    for name, arr in zip(factors._fields, factors):
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}\0".encode("ascii"))
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of _coefficients(build_circuit(template, 9, 2, seed=42), 9):
+# desk_quanv's circuit (real) and a complex one.  Both V_0 (512 x 256, and
+# 512 x 2 x 256 for the complex one) fit in one chunk of the compile, so
+# each qubit's form is one syrk over all of V_0.  Recorded when the compile
+# still copied all of V_0 for each qubit; chunking must not move a bit.
+FACTOR_DIGESTS = {
+    "basic_entangled": "b3899bef566934c20e05b57463d83e8a58ea18b08ca5dc6921918ea3a7d933df",
+    "strongly_entangled": "34d84da1fb3a18078862e7725aa0a5c76095b7e2fd9e15756c8309c0c2650603",
+}
+
+
+@pytest.mark.parametrize("template", sorted(FACTOR_DIGESTS))
+def test_one_chunk_compiles_are_pinned(template):
+    factors = _coefficients(build_circuit(template, 9, 2, seed=42), 9)
+    assert factors_digest(factors) == FACTOR_DIGESTS[template]
+
+
+def test_chunked_compile_matches_one_gemm_at_12_qubits():
+    """At m = 9, n = 12 each qubit's V_0 (512 x 2 x 2048) takes several
+    chunks; the reference copies all of it and forms Re(V_0 V_0^+) in one GEMM.
+    """
+    circuit = build_circuit("strongly_entangled", 12, 2, seed=15)
+    v = _transfer_matrix(circuit, 9)
+    assert v.dtype == np.complex128
+    assert 512 * 2 * 2048 > max(4**9, _BLOCK_AMPLITUDES)
+    got = _qubit_coefficients(circuit, 9)
+    for q in range(12):
+        half = v.reshape(512, 1 << q, 2, -1)[:, :, 0, :].reshape(512, -1)
+        flat = np.concatenate([half.real, half.imag], axis=1)
+        form = 2.0 * (flat @ flat.T) - np.eye(512)
+        want = _trig_coefficients(form, 9).reshape(81, 243)
+        npt.assert_allclose(got[q], want, rtol=0, atol=1e-12)
+
+
+def test_compile_holds_the_transfer_block_and_form_sized_buffers(traced_peak):
+    """Compile at m = 9, n = 12 (2-layer strongly_entangled).
+
+    V is 512 x 4096 complex128, 32 MiB.  Beside it the compile holds a
+    chunk of V_0, the form, one chunk's Gram matrix and C (2 MiB each) and
+    the change of basis' temporaries: 1.35 V measured.  Copying all of V_0
+    (16 MiB) for each qubit peaked at 1.73 V.
+    """
+    circuit = build_circuit("strongly_entangled", 12, 2, seed=15)
+    v_bytes = 512 * 4096 * 16
+    _coefficients.cache_clear()
+    peak = traced_peak(lambda: _coefficients(circuit, 9))
+    assert peak < 1.5 * v_bytes, f"peak {peak / v_bytes:.2f} V"
 
 
 def test_real_circuits_compile_in_float64():
