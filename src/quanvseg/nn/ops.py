@@ -7,9 +7,12 @@ its arguments.  Convolution follows the cross-correlation convention
 (no kernel flip).  It runs on a channel-major raster, the zero-padded
 input laid out as (C, N*Hp*Wp), where kernel tap (i, j) is the column
 offset i*Wp + j, so the taps become GEMMs over shifted views and no
-patch matrix is built.  A 1x1 kernel at stride 1 without padding skips
-the raster: it is one batched GEMM per image on the NCHW arrays, with
-no copy or transpose.
+patch matrix is built.  The GEMMs run one tile of whole padded images at
+a time, and each tile writes its cropped window straight into the NCHW
+result, so no temporary spans the whole layer; the forward and the
+backward's input gradient share this loop.  A 1x1 kernel at stride 1
+without padding skips the raster: it is one batched GEMM per image on
+the NCHW arrays, with no copy or transpose.
 """
 
 from __future__ import annotations
@@ -19,28 +22,56 @@ import numpy as np
 from ..exceptions import ShapeError
 
 
-def _correlate(xf, w, wp: int, length: int):
-    """out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < length.
+# Columns of raster one conv tile covers, as whole padded images (at
+# least one), so a tile's shifted rows and its GEMM outputs stay small.
+_TILE_COLUMNS = 4096
 
-    `xf` is a channel-major raster of row width `wp` with at least
-    length + (kH-1)*wp + kW-1 columns.  The kW taps of a kernel row are
-    stacked into the contraction, so each kernel row costs one GEMM over
-    a shifted view (Cho & Brand, arXiv:1706.06873).
+
+def _correlate_into(dst, src, w, raster, window, b=None):
+    """Correlate the raster `src` with `w` and write it, cropped, into `dst`.
+
+    `src` is a channel-major raster of N images of `raster` = (hp, wp),
+    with at least N*hp*wp + (kH-1)*wp + kW-1 columns.  Its correlation
+    is acc[:, q] = sum_ij w[:, :, i, j] @ src[:, q + i*wp + j]; `window`,
+    a pair of slices of one image's (hp, wp) plane of acc, plus the bias
+    b becomes dst[n], NCHW.  The kW taps of a kernel row are stacked into
+    the contraction, so each kernel row costs one GEMM over a shifted
+    view (Cho & Brand, arXiv:1706.06873).  A tile holds
+    max(1, _TILE_COLUMNS // (hp*wp)) whole images, at most N, and reuses
+    one rows buffer and two GEMM outputs.  Each column keeps its
+    contraction length and its sum order whatever the tile, so tiling
+    does not change a bit.
     """
     c_out, c_in, kh, kw = w.shape
-    span = length + (kh - 1) * wp
-    rows = np.empty((kw, c_in, span), dtype=xf.dtype)
-    for j in range(kw):
-        rows[j] = xf[:, j : j + span]
-    rows = rows.reshape(kw * c_in, span)
+    hp, wp = raster
+    rs, cs = window
+    n = dst.shape[0]
+    per_tile = min(n, max(1, _TILE_COLUMNS // (hp * wp)))
+    halo = (kh - 1) * wp
     w_rows = w.transpose(2, 0, 3, 1).reshape(kh, c_out, kw * c_in)
-    out = np.matmul(w_rows[0], rows[:, :length])
-    if kh > 1:
-        tmp = np.empty_like(out)
-        for i in range(1, kh):
-            np.matmul(w_rows[i], rows[:, i * wp : i * wp + length], out=tmp)
-            out += tmp
-    return out
+    rows_buf = np.empty(kw * c_in * (per_tile * hp * wp + halo), dtype=src.dtype)
+    out_buf = np.empty(c_out * per_tile * hp * wp, dtype=np.result_type(w_rows, src))
+    tmp_buf = np.empty_like(out_buf) if kh > 1 else None
+    for n0 in range(0, n, per_tile):
+        k = min(per_tile, n - n0)
+        start, length = n0 * hp * wp, k * hp * wp
+        span = length + halo
+        rows = rows_buf[: kw * c_in * span].reshape(kw, c_in, span)
+        for j in range(kw):
+            rows[j] = src[:, start + j : start + j + span]
+        rows = rows.reshape(kw * c_in, span)
+        out = out_buf[: c_out * length].reshape(c_out, length)
+        np.matmul(w_rows[0], rows[:, :length], out=out)
+        if kh > 1:
+            tmp = tmp_buf[: c_out * length].reshape(c_out, length)
+            for i in range(1, kh):
+                np.matmul(w_rows[i], rows[:, i * wp : i * wp + length], out=tmp)
+                out += tmp
+        view = out.reshape(c_out, k, hp, wp)[:, :, rs, cs].transpose(1, 0, 2, 3)
+        if b is None:
+            dst[n0 : n0 + k] = view
+        else:
+            np.add(view, b[None, :, None, None], out=dst[n0 : n0 + k])
 
 
 def _batched_matmul(a, b):
@@ -81,14 +112,11 @@ def conv2d_forward(x, w, b=None, stride: int = 1, padding: int = 0):
     xf = np.zeros((c_in, length + (kh - 1) * wp + kw - 1), dtype=x.dtype)
     xf[:, :length].reshape(c_in, n, hp, wp)[
         :, :, padding : padding + h, padding : padding + wd] = x.transpose(1, 0, 2, 3)
-    acc = _correlate(xf, w, wp, length)
-    view = acc.reshape(c_out, n, hp, wp)[
-        :, :, : hp - kh + 1 : stride, : wp - kw + 1 : stride].transpose(1, 0, 2, 3)
-    if b is None:
-        out = np.ascontiguousarray(view)
-    else:
-        out = np.empty(view.shape, dtype=np.result_type(acc, b))
-        np.add(view, b[None, :, None, None], out=out)
+    h_out, w_out = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    dtype = np.result_type(w, x) if b is None else np.result_type(w, x, b)
+    out = np.empty((n, c_out, h_out, w_out), dtype=dtype)
+    _correlate_into(out, xf, w, (hp, wp),
+                    (slice(0, hp - kh + 1, stride), slice(0, wp - kw + 1, stride)), b)
     return out, (xf, x.shape, w, b is not None, stride, padding)
 
 
@@ -120,10 +148,10 @@ def conv2d_backward(cache, gy):
         for j in range(kw):
             off = i * wp + j
             np.matmul(xf[:, off : off + length], g_t, out=gw[i, j])
-    gxf = _correlate(gpad, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), wp, length)
-    gx = gxf.reshape(c_in, n, hp, wp)[
-        :, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(gx), np.ascontiguousarray(gw.transpose(3, 2, 0, 1)), gb
+    gx = np.empty(x_shape, dtype=np.result_type(w, gy))
+    _correlate_into(gx, gpad, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), (hp, wp),
+                    (slice(padding, padding + h), slice(padding, padding + wd)))
+    return gx, np.ascontiguousarray(gw.transpose(3, 2, 0, 1)), gb
 
 
 def relu_forward(x):

@@ -363,13 +363,57 @@ INFERENCE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind,channels", sorted(INFERENCE_DIGESTS))
-def test_inference_is_pinned(kind, channels):
+def pinned_inference_model(kind, channels):
+    """INFERENCE_DIGESTS' model, after the train-mode forward, and its eval batch."""
     model = build_model(AttentionUNetConfig(in_channels=channels, upsample=kind), seed=3)
     rng = np.random.default_rng(5)
     model.forward(rng.uniform(size=(8, channels, 64, 64)).astype(np.float32), train=True)
-    out, _ = model.forward(rng.uniform(size=(8, channels, 64, 64)).astype(np.float32))
-    assert hashlib.sha256(out.tobytes()).hexdigest() == INFERENCE_DIGESTS[kind, channels]
+    return model, rng.uniform(size=(8, channels, 64, 64)).astype(np.float32)
+
+
+def pinned_inference_digest(kind, channels):
+    model, x = pinned_inference_model(kind, channels)
+    out, _ = model.forward(x)
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,channels", sorted(INFERENCE_DIGESTS))
+def test_inference_is_pinned(kind, channels):
+    assert pinned_inference_digest(kind, channels) == INFERENCE_DIGESTS[kind, channels]
+
+
+def _inference_digests(blas_threads):
+    """INFERENCE_DIGESTS' runs in a subprocess with a fixed BLAS thread count."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from test_attention_unet import INFERENCE_DIGESTS, pinned_inference_digest\n"
+        "for kind, channels in sorted(INFERENCE_DIGESTS):\n"
+        "    print(kind, channels, pinned_inference_digest(kind, channels))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True, text=True)
+    return {(kind, int(channels)): digest
+            for kind, channels, digest in map(str.split, out.stdout.splitlines())}
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_inference_bytes_hold_on_1_and_2_blas_threads(blas_threads):
+    """The conv tiles set the inference GEMMs' column counts; the eval
+    output's bytes must not depend on OpenBLAS's thread count either."""
+    assert _inference_digests(blas_threads) == INFERENCE_DIGESTS
+
+
+@pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
+def test_eval_output_of_an_image_holds_alone_and_in_a_batch(kind):
+    # Conv tiles hold several whole images at the coarser levels, so an
+    # image shares its GEMMs with its neighbours in a batch and not alone.
+    model, x = pinned_inference_model(kind, 1)
+    batch, _ = model.forward(x)
+    for i in range(len(x)):
+        alone, _ = model.forward(x[i : i + 1])
+        assert alone.tobytes() == batch[i : i + 1].tobytes()
 
 
 def test_parameter_shapes_align_with_built_model():
@@ -468,8 +512,8 @@ def test_backward_rejects_inference_tape():
 def test_inference_forward_peaks_well_below_train_forward(traced_peak):
     """Traced peaks at the desk widths, batch 8, 64x64.
 
-    The train forward holds every op's cache until it returns (31.6 MB);
-    the inference forward frees each as its op returns (17.8 MB).  A tape
+    The train forward holds every op's cache until it returns (28.5 MiB);
+    the inference forward frees each as its op returns (11.4 MiB).  A tape
     that kept inference caches would peak like the train forward.
     """
     model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
@@ -480,10 +524,10 @@ def test_inference_forward_peaks_well_below_train_forward(traced_peak):
 
 
 def test_train_holds_one_tape_at_a_time(traced_peak):
-    """train over three batches peaks like train over one (36.9 vs 36.1 MB).
+    """train over three batches peaks like train over one (32.4 vs 31.6 MiB).
 
     A step that kept its tape until the next forward returned held two
-    tapes at once, and three batches then peaked at 57.9 MB.
+    tapes at once, and three batches then peaked at 57.9 MiB.
     """
     def peak(n_patches):
         model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)

@@ -125,6 +125,83 @@ def test_conv_float32_stays_float32():
             assert g.dtype == np.float32
 
 
+# (input shape, kernel, stride, padding, images per tile): batches whose
+# last tile is partial, and images whose padded raster exceeds the tile.
+TILED_CONVS = [
+    ((5, 3, 32, 32), (3, 3), 1, 1, 3),
+    ((5, 3, 32, 32), (2, 3), 2, 0, 4),
+    ((5, 3, 32, 32), (3, 3), 3, 2, 3),
+    ((2, 3, 70, 70), (3, 3), 1, 0, 1),
+    ((2, 3, 70, 70), (3, 2), 2, 2, 1),
+]
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-3), (np.float64, 1e-9)])
+@pytest.mark.parametrize("x_shape,kernel,stride,padding,per_tile", TILED_CONVS)
+def test_tiled_conv_matches_loop_reference_and_one_tile(
+        x_shape, kernel, stride, padding, per_tile, dtype, atol, monkeypatch):
+    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+    assert max(1, ops._TILE_COLUMNS // (hp * wp)) == per_tile
+    rng = np.random.default_rng(sum(x_shape) + 7 * stride + padding)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=(4, x_shape[1]) + kernel).astype(dtype)
+    b = rng.normal(size=4).astype(dtype)
+    out, cache = ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
+    gy = rng.normal(size=out.shape).astype(dtype)
+    grads = ops.conv2d_backward(cache, gy)
+    want = _conv_reference(x, w, b, stride, padding, gy)
+    for got, ref in zip((out,) + grads, want):
+        assert got.dtype == dtype
+        npt.assert_allclose(got, ref, rtol=0, atol=atol)
+    # one tile over the whole batch gives the same bits
+    monkeypatch.setattr(ops, "_TILE_COLUMNS", x_shape[0] * hp * wp)
+    whole, whole_cache = ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
+    for got, ref in zip((out,) + grads, (whole,) + ops.conv2d_backward(whole_cache, gy)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def _dec0_conv1():
+    """dec0's first 3x3 conv at the desk shapes, (8, 16, 64, 64) -> 8 with
+    padding 1, and its raster's column count N*Hp*Wp + (kH-1)*Wp + kW-1."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(8, 16, 64, 64)).astype(np.float32)
+    w = rng.normal(size=(8, 16, 3, 3)).astype(np.float32)
+    b = rng.normal(size=8).astype(np.float32)
+    return x, w, b, 8 * 66 * 66 + 2 * 66 + 2
+
+
+def test_conv_forward_peaks_near_its_raster_and_output(traced_peak):
+    # Over xf + output: 1.37x (4.29 MiB) with tiles, 3.40x (10.67 MiB)
+    # when the whole layer's shifted rows and GEMM outputs were built.
+    x, w, b, columns = _dec0_conv1()
+    floor = 4 * (16 * columns + 8 * 64 * 64 * 8)
+    peak = traced_peak(lambda: ops.conv2d_forward(x, w, b, padding=1))
+    assert peak < 1.5 * floor, f"{peak / floor:.2f}x"
+
+
+def test_conv_backward_peaks_near_its_gradient_rasters(traced_peak):
+    # Over gpad + g_t + gx: 1.23x (5.09 MiB) with tiles, 2.32x (9.60 MiB)
+    # when gx went through whole-layer rows and outputs and a copy.
+    x, w, b, columns = _dec0_conv1()
+    out, cache = ops.conv2d_forward(x, w, b, padding=1)
+    gy = np.random.default_rng(12).normal(size=out.shape).astype(np.float32)
+    floor = 4 * (8 * columns + 8 * 66 * 66 * 8) + x.nbytes
+    peak = traced_peak(lambda: ops.conv2d_backward(cache, gy))
+    assert peak < 1.5 * floor, f"{peak / floor:.2f}x"
+
+
+def test_conv_tile_buffers_hold_at_most_the_batch(traced_peak):
+    # 40 padded 10x10 images fit in a tile.  For one image the forward
+    # peaks at 5.6x xf + output; buffers sized for 40 images took 110x.
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(1, 32, 8, 8)).astype(np.float32)
+    w = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
+    out, (xf, *_) = ops.conv2d_forward(x, w, padding=1)
+    floor = xf.nbytes + out.nbytes
+    peak = traced_peak(lambda: ops.conv2d_forward(x, w, padding=1))
+    assert peak < 10 * floor, f"{peak / floor:.2f}x"
+
+
 # ---------------------------------------------------------------------
 # Pointwise layers and pooling
 
