@@ -1,10 +1,15 @@
 """Circuit evaluation on angle-encoded windows.
 
-`run_windows(enc, spec)` maps encoded windows (N, m) to their Z
-expectations (N, n) under the frozen n-qubit circuit `spec`.  Column j of
-`enc` is the RY angle theta_j of qubit j; the other n - m qubits start in
-|0>, so every window lies in the span of the 2**m basis states whose last
-n - m bits are 0.  One of two plans is chosen from (m, n):
+`run_windows(angles, spec, window, stride)` maps the windows of a 2-D
+angle raster to their Z expectations (N, n) under the frozen n-qubit
+circuit `spec`.  The windows are the row-major (kh, kw) = window blocks of
+the raster at `stride`, N of them in row-major order; quanvolve passes
+pi times its padded image with (k, k) and its stride.  Window None reads
+each row of an (N, m) raster as one window, the case window = (1, m),
+through the same code.  Tap j of a window, read row-major, is the RY angle
+theta_j of qubit j, m = kh kw; the other n - m qubits start in |0>, so
+every window lies in the span of the 2**m basis states whose last n - m
+bits are 0.  One of two plans is chosen from (m, n):
 
 * dense (2**(m + n) <= DENSE_MAX_AMPLITUDES): the circuit is frozen, so
   each <Z_q> is a fixed trigonometric polynomial of the window's angles,
@@ -44,9 +49,10 @@ GEMM over the stacked L_q, and <Z_q> sums H * G over q's r_q rows.  The
 split is what makes this cheap: the unsplit form needs all 3**m features
 of every window (4096 x 19683 float64, 645 MB, at m = 9) and a
 memory-bound GEMM with only n output columns, while the split form
-stores 3**a + 3**b features a window (324 at m = 9).  Windows are padded
-to a multiple of 8 (chunks hold 2048), because OpenBLAS 0.3.31 rounds a
-GEMM with another column count differently on 1 and 2 threads.
+stores 3**a + 3**b features a window (324 at m = 9).  Each chunk's
+buffers are padded to a multiple of 8 windows of angle 0 (chunks hold
+2048), because OpenBLAS 0.3.31 rounds a GEMM with another column count
+differently on 1 and 2 threads.
 
 Cost per window: sum_q min(r_q (3**a + 3**b), 3**a 3**b) multiply-adds,
 at most n * 3**m, against 2**(m + n) (twice that for complex circuits)
@@ -65,9 +71,11 @@ compile's traced peak was 43 MiB at n = 12 (V is 32 MiB) and 76 MiB at
 n = 13 (V is 64 MiB), against 55 and 104 MiB while it copied all of V_0
 for each qubit; the shorter syrks made a cold compile 3-27% slower.
 On 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), for a 64x64 scene (4096
-windows) with m = 9, evaluation of a 2-layer circuit took 5.8-6.9 ms at
-n = 12 (strongly_entangled) and 5.5-6.9 ms at n = 9 (basic_entangled),
-against 28-36 ms and 22-28 ms with every C_q whole; 3-layer circuits
+windows) with m = 9, evaluation of a 2-layer circuit from its angle
+raster takes 3.9-4.3 ms at n = 12 (strongly_entangled) and 3.5-4.5 ms
+at n = 9 (basic_entangled), against 4.7-5.7 and 4.5-5.2 ms in the same
+3 alternating rounds from per-window angle copies, and 28-36 ms and
+22-28 ms, measured earlier, with every C_q whole; 3-layer circuits
 took 15-24 ms (22-35 ms whole), and a 4-layer basic_entangled circuit at
 n = 9, which keeps every C_q whole, 18-23 ms (22-26 ms before the
 factoring).  The SVDs add 25-45 ms to a compile at m = 9.  Simulating V
@@ -75,14 +83,26 @@ took 0.11-0.14 s at n = 12 and 0.21-0.24 s at n = 13
 (strongly_entangled).  The statevector plan took 1.1-1.5 s for 4096
 windows at n = 12 (135 MB peak RSS).
 
-Both plans encode windows with one helper, _products: the products of
-per-qubit factors over the first half of the qubits and over the rest
-each come from a short ladder, and one outer product of the two is
-written in place, with windows along the last axis.  The dense plan
-calls it on (1, cos theta, sin theta) for Fh and Ft, in buffers it
-reuses across chunks, as it reuses G and H; the statevector plan calls it,
-through _product_states, on (cos theta/2, sin theta/2) and writes the
-product states into the amplitudes j << (n - m) of its zeroed batch.
+Input.  Both plans take cos and sin once per raster element (of theta
+for the dense plan, of theta/2 for the statevector plan), not once per
+window entry: a stride-1 3x3 grid reads each pixel 9 times.  Each
+function's raster is seen through m tap views (kh, kw, n_h, n_w), and
+_gather copies a chunk's window range [lo, hi) of them into the plan's
+reused (m, 3, chunk) or (m, 2, chunk) buffer, in at most three copies,
+so no array of N x m angles or trig values is made.  The products come
+from one helper, _products: the products of per-qubit factors over the
+first half of the qubits and over the rest each come from a short
+ladder, and one outer product of the two is written in place, with
+windows along the last axis.  The dense plan calls it on (1, cos theta,
+sin theta) for Fh and Ft, in buffers it reuses across chunks, as it
+reuses G and H; the statevector plan calls it on (cos theta/2, sin
+theta/2) and writes the product states into the amplitudes j << (n - m)
+of its zeroed batch.  Each plan writes qubit q's expectations straight
+into row q of one (n, N) array and returns its transposed view, so
+quanvolve rescales it in place and reshapes it to (n, n_h, n_w) without
+a copy.  For a 256x256 image at m = n = 9 quanvolve's traced peak went
+from 29.9 to 13.7 MiB (98.9 to 31.7 MiB at 512x512): the output, the
+angle raster with its cos and sin, and one chunk's buffers.
 
 quanvolve reaches run_windows through kernel() on every call, so a
 wrapper installed on kernel (perfbench/tracing.py times run_windows that
@@ -96,6 +116,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .qsim.circuits import CircuitSpec
 from .qsim.state import _BLOCK_AMPLITUDES, apply_gates_batch, batch_dtype
@@ -253,9 +274,12 @@ def _coefficients(spec: CircuitSpec, n_encoded: int) -> _Factors:
 
 def _ladder(factors):
     """Products (d**k, N) of per-qubit factors (k, d, N), one qubit per step."""
-    prod = np.ones((1, factors.shape[2]))
-    for q in range(factors.shape[0]):
-        prod = (prod[:, None, :] * factors[q, None, :, :]).reshape(-1, factors.shape[2])
+    if not len(factors):
+        return np.ones((1, factors.shape[2]))
+    # The first qubit's factors are the first step's products as they are.
+    prod = factors[0]
+    for factor in factors[1:]:
+        prod = (prod[:, None, :] * factor[None, :, :]).reshape(-1, factors.shape[2])
     return prod
 
 
@@ -276,93 +300,135 @@ def _products(factors, out):
     np.multiply(head[:, None, :], tail[None, :, :], out=split)
 
 
-def _product_states(enc, out=None):
-    """Real product states (N, 2**m) of windows encoded on m qubits (N, m).
+def _window_shape(angles, window):
+    """(kh, kw) of the windows of a raster; None reads each row as one window."""
+    return (1, angles.shape[1]) if window is None else tuple(window)
 
-    out, if given, is any (N, 2**m) array or view.
+
+def _trig_taps(angles, window, stride):
+    """cos and sin of a raster, each as tap views (kh, kw, n_h, n_w).
+
+    Window (r, c) is angles[r s : r s + kh, c s : c s + kw] for stride s,
+    its taps read row-major, and tap (i, j) of the view is that entry of
+    every window.  cos and sin are taken once per raster element, however
+    many windows read it.
     """
-    half = 0.5 * enc.T
-    if out is None:
-        out = np.empty((enc.shape[0], 1 << enc.shape[1]))
-    _products(np.stack((np.cos(half), np.sin(half)), axis=1), out.T)
-    return out
+    window = _window_shape(angles, window)
+    return [sliding_window_view(f(angles), window)[::stride, ::stride].transpose(2, 3, 0, 1)
+            for f in (np.cos, np.sin)]
 
 
-def _dense_windows(enc, spec):
-    """Z expectations (N, n) of windows encoded on m qubits (N, m), via _Factors."""
-    n_windows, m = enc.shape
+def _gather(taps, lo, hi, out):
+    """Copy windows [lo, hi) of taps (kh, kw, n_h, n_w), row-major, into out (kh kw, hi - lo).
+
+    At most three copies, whatever the window count: the rest of the
+    first row, the whole rows after it, and the start of the last.
+    """
+    kh, kw, _, n_w = taps.shape
+    out = out.reshape(kh, kw, hi - lo, copy=False)
+    r0, c0 = divmod(lo, n_w)
+    r1, c1 = divmod(hi, n_w)
+    if r0 == r1:
+        out[...] = taps[:, :, r0, c0:c1]
+        return
+    first, last = n_w - c0, hi - lo - c1
+    out[:, :, :first] = taps[:, :, r0, c0:]
+    rows = out[:, :, first:last].reshape(kh, kw, r1 - r0 - 1, n_w, copy=False)
+    rows[...] = taps[:, :, r0 + 1:r1]
+    if c1:
+        out[:, :, last:] = taps[:, :, r1, :c1]
+
+
+def _dense_windows(angles, spec, window=None, stride=1):
+    """Z expectations (N, n) of a raster's windows, via _Factors."""
+    cos, sin = _trig_taps(angles, window, stride)
+    kh, kw, n_h, n_w = cos.shape
+    m, n_windows = kh * kw, n_h * n_w
     a = m // 2
     factors = _coefficients(spec, m)
     whole = len(factors.order) - len(factors.starts)
-    # Windows are padded to a multiple of 8 (with angle 0), so every GEMM
-    # has a column count for which OpenBLAS gives the same bits whatever
+    # Every chunk's GEMMs run over a multiple of 8 columns (windows past the
+    # last have angle 0), for which OpenBLAS gives the same bits whatever
     # its thread count; _CHUNK is a multiple of 8 too.
-    padded = -(-n_windows // 8) * 8
-    angles = np.zeros((m, padded))
-    angles[:, :n_windows] = enc.T
-    # Filled one qubit per row, in factors.order, so each chunk writes
-    # contiguous runs.
-    out = np.empty((len(factors.order), padded))
+    n_padded = -(-n_windows // 8) * 8
+    # One row per measured qubit, written in place by every chunk.
+    out = np.empty((spec.n_qubits, n_windows))
     # The per-qubit (1, cos, sin), the head and tail features, G = tail
     # rows @ Ft and H = head rows @ Fh, one window per column, reused by
     # every chunk.
-    cols = min(padded, _CHUNK)
+    cols = min(n_padded, _CHUNK)
     trig = np.empty((m, 3, cols))
     trig[:, 0] = 1.0
     head = np.empty((3**a, cols))
     tail = np.empty((factors.tail.shape[1], cols))
     g = np.empty((factors.tail.shape[0], cols))
     h = np.empty((factors.head.shape[0], cols))
-    split = whole * 3**a
     ends = np.append(factors.starts[1:], len(h))
-    for lo, hi in _chunks(padded, _CHUNK):
-        w = hi - lo
-        np.cos(angles[:, lo:hi], out=trig[:, 1, :w])
-        np.sin(angles[:, lo:hi], out=trig[:, 2, :w])
+    for lo, hi in _chunks(n_padded, _CHUNK):
+        w, v = hi - lo, min(hi, n_windows) - lo
+        _gather(cos, lo, lo + v, trig[:, 1, :v])
+        _gather(sin, lo, lo + v, trig[:, 2, :v])
+        trig[:, 1, v:w] = 1.0
+        trig[:, 2, v:w] = 0.0
         _products(trig[:a, :, :w], head[:, :w])
         _products(trig[a:, :, :w], tail[:, :w])
         gw = np.matmul(factors.tail, tail[:, :w], out=g[:, :w])
-        np.einsum("qaw,aw->qw", gw[:split].reshape(whole, 3**a, w), head[:, :w],
-                  out=out[:whole, lo:hi])
+        # A whole qubit's <Z_q> is sum_alpha G[q, alpha] Fh[alpha].
+        for i, q in enumerate(factors.order[:whole]):
+            np.einsum("aw,aw->w", gw[i * 3**a:(i + 1) * 3**a, :v], head[:, :v],
+                      out=out[q, lo:lo + v])
         # A factored qubit's <Z_q> sums (L_q Fh) * (W_q Ft) over its r_q rows.
         hw = np.matmul(factors.head, head[:, :w], out=h[:, :w])
-        hw *= gw[split:]
-        for row, start, end in zip(range(whole, len(out)), factors.starts, ends):
-            np.sum(hw[start:end], axis=0, out=out[row, lo:hi])
-    return out[np.argsort(factors.order), :n_windows].T
+        hw *= gw[whole * 3**a:]
+        for q, start, end in zip(factors.order[whole:], factors.starts, ends):
+            np.sum(hw[start:end, :v], axis=0, out=out[q, lo:lo + v])
+    return out.T
 
 
-def _statevector_windows(enc, spec):
-    """Z expectations (N, n) of windows encoded on m qubits (N, m), gate by gate."""
-    n_windows, m = enc.shape
+def _statevector_windows(angles, spec, window=None, stride=1):
+    """Z expectations (N, n) of a raster's windows, gate by gate."""
+    cos, sin = _trig_taps(0.5 * angles, window, stride)
+    kh, kw, n_h, n_w = cos.shape
+    m, n_windows = kh * kw, n_h * n_w
     n = spec.n_qubits
-    out = np.empty((n_windows, n))
+    out = np.empty((n, n_windows))
     # One chunk holds at most DENSE_MAX_AMPLITUDES amplitudes.
     size = max(1, min(n_windows, DENSE_MAX_AMPLITUDES >> n))
     batch = np.empty((size, 1 << n), dtype=batch_dtype(spec.gates))
     probs = np.empty((size, 1 << n))
+    # Each encoded qubit's (cos theta/2, sin theta/2), one window per column.
+    trig = np.empty((m, 2, size))
     for lo, hi in _chunks(n_windows, size):
         w = hi - lo
         psi = batch[:w]
         psi.fill(0.0)
+        _gather(cos, lo, hi, trig[:, 0, :w])
+        _gather(sin, lo, hi, trig[:, 1, :w])
         # Amplitudes j << (n - m): the encoded qubits spell j, the rest are 0.
-        _product_states(enc[lo:hi], out=psi.reshape(w, 1 << m, -1)[:, :, 0])
+        _products(trig[:, :, :w], psi.reshape(w, 1 << m, -1)[:, :, 0].T)
         apply_gates_batch(psi, spec.gates)
         # |psi|**2 as the sum over the real (and imaginary) part of each amplitude.
         parts = psi.view(np.float64).reshape(w, 1 << n, -1)
         p = np.einsum("wak,wak->wa", parts, parts, out=probs[:w])
         for q in range(n):
             v = p.reshape(w, 1 << q, 2, -1)
-            out[lo:hi, q] = v[:, :, 0, :].sum(axis=(1, 2)) - v[:, :, 1, :].sum(axis=(1, 2))
-    return out
+            out[q, lo:hi] = v[:, :, 0, :].sum(axis=(1, 2)) - v[:, :, 1, :].sum(axis=(1, 2))
+    return out.T
 
 
 _PLANS = {"dense": _dense_windows, "statevector": _statevector_windows}
 
 
-def run_windows(enc, spec: CircuitSpec):
-    """Z expectations (N, n_qubits) of windows encoded on their first m qubits (N, m)."""
-    return _PLANS[plan_name(enc.shape[1], spec.n_qubits)](enc, spec)
+def run_windows(angles, spec: CircuitSpec, window=None, stride=1):
+    """Z expectations (N, n_qubits) of the windows of a 2-D angle raster.
+
+    The windows are the row-major (kh, kw) = window blocks at stride, each
+    encoded on the circuit's first kh kw qubits; window None reads each
+    row of an (N, m) raster as one window.  The result is a transposed
+    view of an (n_qubits, N) array.
+    """
+    kh, kw = _window_shape(angles, window)
+    return _PLANS[plan_name(kh * kw, spec.n_qubits)](angles, spec, (kh, kw), stride)
 
 
 def kernel():

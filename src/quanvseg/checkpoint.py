@@ -36,6 +36,7 @@ from .fileio import (
     tensor_from_bytes,
     tensor_record_size,
     tensor_to_bytes,
+    write_atomic,
 )
 from .qsim.circuits import parse_circuit
 from .quanvolution import QuanvConfig
@@ -81,25 +82,10 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
             blob += tensor_to_bytes(np.asarray(arr))
     lines.append(f"tensors.bytes {len(blob)}")
     lines.append(f"tensors.crc32 {zlib.crc32(blob):08x}")
-    _write_atomic(prefix + ".tensors", bytes(blob))
+    write_atomic(prefix + ".tensors", bytes(blob))
     if circuit_text is not None:
-        _write_atomic(prefix + ".circuit", circuit_text.encode("ascii"))
-    _write_atomic(prefix + ".manifest", ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def _write_atomic(path: str, data: bytes):
-    """Write a temp sibling, then os.replace it onto path: a reader sees the
-    old file or the new one, never a part, and a failed write leaves no
-    temp file."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        write_atomic(prefix + ".circuit", circuit_text.encode("ascii"))
+    write_atomic(prefix + ".manifest", ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _int(text: str, where: str) -> int:

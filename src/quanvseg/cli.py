@@ -29,7 +29,15 @@ from .datapipe import (
     synth_scene,
 )
 from .exceptions import ConfigError, FileFormatError, QuanvsegError, ShapeError
-from .fileio import located, read_pgm, read_tensor, read_text, write_pgm, write_tensor
+from .fileio import (
+    located,
+    read_pgm,
+    read_tensor,
+    read_text,
+    write_atomic,
+    write_pgm,
+    write_tensor,
+)
 from .qsim.circuits import TEMPLATES, build_circuit, parse_circuit, serialize_circuit
 from .qsim.state import MAX_SIM_QUBITS
 from .quanvolution import PADDINGS, QuanvConfig, quanvolve
@@ -257,8 +265,7 @@ def cmd_quanvolve(args) -> int:
     stack = quanvolve(image, quanv_config)
     write_tensor(args.output, stack.data.astype(np.float32))
     if args.circuit_out:
-        with open(args.circuit_out, "w", encoding="ascii") as fh:
-            fh.write(serialize_circuit(spec))
+        write_atomic(args.circuit_out, serialize_circuit(spec).encode("ascii"))
     print(f"{args.output}: {stack.channels}x{stack.height}x{stack.width} "
           f"feature stack ({plan_name(quanv_config.kernel_size ** 2, spec.n_qubits)} plan)")
     return 0
@@ -319,8 +326,7 @@ def cmd_train(args) -> int:
     for line in log_lines:
         print(line)
     if args.log_out:
-        with open(args.log_out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(log_lines) + "\n")
+        write_atomic(args.log_out, ("\n".join(log_lines) + "\n").encode("ascii"))
     save_checkpoint(args.checkpoint_out, model, quanv_config, circuit_text)
     print(f"checkpoint: {args.checkpoint_out}.manifest "
           f"({model.n_params()} trainable parameters)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DataError, FileFormatError, ShapeError, SizeError
-from .fileio import read_tensor, read_text, write_tensor
+from .fileio import read_tensor, read_text, write_atomic, write_tensor
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def save_patch_dir(outdir, train: PatchSet, test: PatchSet):
                      np.stack([item.image for item in items], dtype=np.float32))
         write_tensor(os.path.join(outdir, MASKS_FILE),
                      np.stack([item.mask for item in items], dtype=np.float32))
-    with open(os.path.join(outdir, "index.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(outdir, "index.txt"), ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_patch_dir(path) -> tuple[PatchSet, PatchSet]:

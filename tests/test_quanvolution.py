@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from quanvseg.exceptions import ConfigError, EncodingRangeError, ShapeError, SizeError
 from quanvseg.qsim.circuits import (
@@ -35,14 +36,17 @@ from quanvseg.backend import (
     _PLANS,
     DENSE_MAX_AMPLITUDES,
     _coefficients,
-    _product_states,
+    _gather,
+    _products,
     _qubit_coefficients,
     _transfer_matrix,
     _trig_coefficients,
+    _trig_taps,
     backend_name,
     plan_name,
+    run_windows,
 )
-from quanvseg.quanvolution import QuanvConfig, quanvolve, window_positions
+from quanvseg.quanvolution import PADDINGS, QuanvConfig, quanvolve, window_positions
 
 
 def small_config(**kw):
@@ -292,6 +296,7 @@ def test_plan_matches_window_oracle(plan, template, n_qubits, n_encoded):
 
 @pytest.mark.parametrize("n_encoded", range(1, 11))
 def test_product_states_match_kron_ladder(n_encoded):
+    """_products of per-qubit (cos theta/2, sin theta/2), as the statevector plan builds them."""
     enc = math.pi * np.random.default_rng(n_encoded).uniform(size=(6, n_encoded))
     enc[0] = 0.0
     enc[1] = math.pi
@@ -301,14 +306,141 @@ def test_product_states_match_kron_ladder(n_encoded):
         for theta in angles:
             psi = np.kron(psi, [math.cos(theta / 2), math.sin(theta / 2)])
         want.append(psi)
-    got = _product_states(enc)
-    assert got.shape == (6, 1 << n_encoded)
+    half = 0.5 * enc.T
+    factors = np.stack((np.cos(half), np.sin(half)), axis=1)
+    got = np.empty((6, 1 << n_encoded))
+    _products(factors, got.T)
     npt.assert_allclose(got, want, rtol=0, atol=1e-15)
     # The same states written into a strided view, as the statevector plan does.
     psi = np.zeros((6, 1 << (n_encoded + 2)), dtype=np.complex128)
-    _product_states(enc, out=psi.reshape(6, 1 << n_encoded, -1)[:, :, 0])
+    _products(factors, psi.reshape(6, 1 << n_encoded, -1)[:, :, 0].T)
     npt.assert_array_equal(psi[:, ::4], got)
     assert not psi.reshape(6, 1 << n_encoded, -1)[:, :, 1:].any()
+
+
+@pytest.mark.parametrize("window, stride", [((3, 3), 1), ((2, 2), 3), ((1, 7), 1), ((3, 2), 2)])
+def test_gather_copies_row_major_window_ranges(window, stride):
+    """Ranges inside one row, from mid-row across whole rows, and ending on a row's end."""
+    raster = np.random.default_rng(22).uniform(size=(19, 7 if window == (1, 7) else 23))
+    taps = _trig_taps(raster, window, stride)[0]
+    kh, kw, n_h, n_w = taps.shape
+    want = sliding_window_view(np.cos(raster), window)[::stride, ::stride]
+    want = want.reshape(n_h * n_w, kh * kw).T
+    bounds = sorted({0, 1, n_w - 1, n_w, n_w + 2, 3 * n_w + 1, n_h * n_w - 1, n_h * n_w})
+    for lo in bounds:
+        for hi in bounds:
+            if lo < hi:
+                out = np.full((kh * kw, 2, hi - lo), np.nan)
+                _gather(taps, lo, hi, out[:, 1])
+                npt.assert_array_equal(out[:, 1], want[:, lo:hi])
+                assert np.isnan(out[:, 0]).all()
+
+
+def test_run_windows_takes_one_window_per_row_by_default():
+    circuit = build_circuit("strongly_entangled", 6, 2, seed=23)
+    enc = math.pi * np.random.default_rng(23).uniform(size=(40, 4))
+    got = run_windows(enc, circuit)
+    assert got.shape == (40, 6)
+    assert got.tobytes() == run_windows(enc, circuit, (1, 4), 1).tobytes()
+    full = np.pad(enc, ((0, 0), (0, 2)))
+    npt.assert_allclose(got, oracle_expectations(circuit, full), atol=1e-9)
+
+
+# (template, qubits, kernel, raster shape): dense at m = 9 over two chunks
+# with whole and factored qubits, dense at m = 4, and statevector at n = 14
+# over two chunks of 256 windows that break mid-row.
+CROSS_FORM_CASES = {
+    "dense-9": ("basic_entangled", 9, 3, (50, 70)),
+    "dense-k2-11": ("strongly_entangled", 11, 2, (23, 29)),
+    "statevector-14": ("strongly_entangled", 14, 3, (21, 26)),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CROSS_FORM_CASES))
+def test_raster_windows_give_the_bytes_of_stacked_windows(case, stride):
+    """A (k, k) window over a raster against the (N, k**2) copies of its windows.
+
+    The oracle tests feed each plan (N, m) arrays, one window per row;
+    quanvolve feeds the padded raster.  The two must give the same bits.
+    """
+    template, n_qubits, kernel, shape = CROSS_FORM_CASES[case]
+    circuit = build_circuit(template, n_qubits, 3 if n_qubits == 9 else 2, seed=42)
+    raster = math.pi * np.random.default_rng(24).uniform(size=shape)
+    windows = sliding_window_view(raster, (kernel, kernel))[::stride, ::stride]
+    flat = windows.reshape(-1, kernel * kernel)
+    plan = _PLANS[case.split("-")[0]]
+    got = plan(raster, circuit, (kernel, kernel), stride)
+    assert got.shape == (len(flat), n_qubits)
+    assert got.tobytes() == plan(flat, circuit).tobytes()
+
+
+# sha256 of quanvolve outputs per (template, qubits, layers, kernel, image
+# sizes), seed 42: 50x70 gives window counts that are not a multiple of 8
+# (3500 at stride 1), 65x65 spans three dense chunks, the 3-layer circuit
+# keeps qubits 0 and 8 whole, and k = 2 at n = 11 keeps 7 of 11 whole.
+# Recorded while quanvolve still copied every window's angles; reading
+# them from the raster must not move a bit.
+QUANV_CASES = {
+    "dense-9": ("basic_entangled", 9, 2, 3, ((50, 70), (65, 65))),
+    "dense-9-3-layer": ("basic_entangled", 9, 3, 3, ((50, 70),)),
+    "dense-12": ("strongly_entangled", 12, 2, 3, ((50, 70), (31, 44))),
+    "dense-k2-11": ("strongly_entangled", 11, 2, 2, ((50, 70), (23, 29))),
+    "statevector-14": ("strongly_entangled", 14, 2, 3, ((9, 11),)),
+}
+QUANV_DIGESTS = {
+    "dense-9": "88221f34afae1701d08cff440d60a858be439eb60f32709b69a308afef6f3aa9",
+    "dense-9-3-layer": "78d5721eb647151c6e2aabe505aa5ae2613bc42e2d05c47f24de463ba2752380",
+    "dense-12": "e688c7937100b8d4f568904265a55d65e17920ec140b8ab6f7fef4b604a0ae04",
+    "dense-k2-11": "319bef9b527fbc9b4b23847833e27eb0d36e46f86d74ec3b938107e0c08d44ee",
+    "statevector-14": "1a7fdf13c1609bebf12a755c7bd44f892a753247e52a32aa14f2795c1a4685a0",
+}
+
+
+def quanv_digest(template, n_qubits, layers, kernel, sizes):
+    """sha256 of quanvolve outputs at strides 1-3 and both paddings, with their shapes."""
+    circuit = build_circuit(template, n_qubits, layers, seed=42)
+    digest = hashlib.sha256()
+    for height, width in sizes:
+        image = np.random.default_rng(height * width).uniform(size=(height, width))
+        for stride in (1, 2, 3):
+            for padding in PADDINGS:
+                config = QuanvConfig(circuit=circuit, kernel_size=kernel, stride=stride,
+                                     padding=padding, rescale=padding == "same-reflect")
+                data = quanvolve(image, config).data
+                digest.update(f"{stride} {padding} {data.shape}\0".encode("ascii"))
+                digest.update(data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(QUANV_CASES))
+def test_quanvolve_outputs_are_pinned(case):
+    template, n_qubits, _, kernel, _ = QUANV_CASES[case]
+    assert plan_name(kernel**2, n_qubits) == case.split("-")[0]
+    assert quanv_digest(*QUANV_CASES[case]) == QUANV_DIGESTS[case]
+
+
+def test_quanvolve_holds_its_output_rasters_and_one_chunk(traced_peak):
+    """Traced peak of quanvolve on a 256x256 scene at m = n = 9.
+
+    Beside its output (9 x 256**2 float64, 4.5 MiB) quanvolve holds the
+    angle raster and its cos and sin (258**2 values each, 0.51 MiB), and
+    the dense plan one chunk's buffers: (1, cos, sin), head and tail
+    features, G and H, 443 rows of 2048 values (6.9 MiB), plus the
+    ladders' temporaries.  Measured 13.70 MiB; 29.94 MiB (98.94 MiB at
+    512x512) while every window's angles were copied, scaled and
+    transposed, and the output gathered by qubit and copied again.
+    """
+    circuit = build_circuit("basic_entangled", 9, 2, seed=42)
+    factors = _coefficients(circuit, 9)  # compile first: the cached coefficients are not counted
+    image = np.random.default_rng(25).uniform(size=(256, 256))
+    rows = 3 * 9 + 81 + 243 + factors.tail.shape[0] + factors.head.shape[0]
+    chunk_bytes = rows * _CHUNK * 8
+    output_bytes = 9 * 256 * 256 * 8
+    raster_bytes = 258 * 258 * 8
+    peak = traced_peak(lambda: quanvolve(image, QuanvConfig(circuit=circuit)))
+    bound = output_bytes + 4 * raster_bytes + 1.15 * chunk_bytes
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_dense_plan_last_chunk_of_one_window_matches_oracle():
