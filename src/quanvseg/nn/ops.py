@@ -148,6 +148,7 @@ def conv2d_backward(cache, gy):
         for j in range(kw):
             off = i * wp + j
             np.matmul(xf[:, off : off + length], g_t, out=gw[i, j])
+    del g_t
     gx = np.empty(x_shape, dtype=np.result_type(w, gy))
     _correlate_into(gx, gpad, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), (hp, wp),
                     (slice(padding, padding + h), slice(padding, padding + wd)))
@@ -155,11 +156,14 @@ def conv2d_backward(cache, gy):
 
 
 def relu_forward(x):
-    return np.maximum(x, 0), x > 0
+    """The cache packs the mask x > 0 eight values to a byte."""
+    return np.maximum(x, 0), (np.packbits(x > 0), x.shape)
 
 
 def relu_backward(cache, gy):
-    return gy * cache
+    # A float times a 0/1 uint8 has the bits of the float times a bool.
+    bits, shape = cache
+    return gy * np.unpackbits(bits, count=gy.size).reshape(shape)
 
 
 def sigmoid_forward(x):

@@ -61,8 +61,9 @@ def _angle(rng) -> float:
 
 
 def _basic_entangled_layer(rng, n, gates):
-    for q in range(n):
-        gates.append(Gate("RY", q, angle=_angle(rng)))
+    # one draw per layer gives the values of n _angle calls, in order
+    for q, angle in enumerate(rng.uniform(0.0, 2.0 * math.pi, n).tolist()):
+        gates.append(Gate("RY", q, angle=angle))
     if n == 2:
         gates.append(Gate("CNOT", target=1, control=0))
     elif n > 2:
@@ -71,10 +72,10 @@ def _basic_entangled_layer(rng, n, gates):
 
 
 def _strongly_entangled_layer(rng, n, layer, gates):
-    for q in range(n):
-        gates.append(Gate("RZ", q, angle=_angle(rng)))
-        gates.append(Gate("RY", q, angle=_angle(rng)))
-        gates.append(Gate("RZ", q, angle=_angle(rng)))
+    for q, (z0, y, z1) in enumerate(rng.uniform(0.0, 2.0 * math.pi, (n, 3)).tolist()):
+        gates.append(Gate("RZ", q, angle=z0))
+        gates.append(Gate("RY", q, angle=y))
+        gates.append(Gate("RZ", q, angle=z1))
     if n >= 2:
         r = (layer % (n - 1)) + 1
         for q in range(n):

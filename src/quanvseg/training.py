@@ -81,10 +81,8 @@ def train(model: AttentionUNet, patchset: PatchSet, config: TrainConfig,
             loss, gy = bce_loss(out, tb)
             if not math.isfinite(loss):
                 raise NumericError(f"loss diverged at epoch {epoch}")
+            # backward consumes the tape, so no cache outlives this step.
             grads, _ = model.backward(tape, gy)
-            # Free this step's caches now, not when the next forward
-            # rebinds the name, so two tapes are never live at once.
-            del tape
             adam_step(model.params, grads, state)
             loss_sum += loss * xb.shape[0]
             correct += int(np.count_nonzero((out >= 0.5) == (tb >= 0.5)))

@@ -2,12 +2,13 @@
 
 A model is a flat dict of named parameter arrays plus a parallel dict of
 batch-norm running statistics.  forward returns (output, tape): in train
-mode each op appends its backward and cache to the Tape as it runs, and
-backward(tape, gy) replays that tape in reverse and returns (grads, gx)
-with gradient names matching parameter names, which keeps the optimizer
-and checkpoint code trivial; the layer sequence is written only in
-forward.  Inference (train=False) records nothing, so each cache is freed
-as soon as its op returns.
+mode each op, the attention gates' ops included, appends its backward and
+cache to the Tape as it runs, and backward(tape, gy) consumes that tape in
+reverse, freeing each cache once its backward has run, and returns (grads,
+gx) with gradient names matching parameter names, which keeps the
+optimizer and checkpoint code trivial; the layer sequence is written only
+in forward.  Inference (train=False) records nothing, so each cache is
+freed as soon as its op returns.
 parameter_shapes is the single description of the topology: build_model,
 count_params, init_gate_params and the checkpoint loader all walk it.
 
@@ -122,11 +123,6 @@ def _allocate(table, rng, dtype):
     return params, stats
 
 
-def _group(named: dict, prefix: str) -> dict:
-    cut = len(prefix) + 1
-    return {k[cut:]: v for k, v in named.items() if k.startswith(prefix + ".")}
-
-
 def init_gate_params(c_g: int, c_x: int, width: int, rng, dtype=np.float32):
     """Attention-gate parameters; returns (params, stats) dicts.
 
@@ -143,17 +139,20 @@ class Tape:
     each recorded op adds one slot, its output.  An entry is (backward,
     cache, input slots, parameter names).  The tape holds caches, never
     activations, so each activation is freed once its consumers have read
-    it.  Ops are looked up on the ops module when they are recorded.
+    it; replay frees each cache once its backward has run (Chen et al.,
+    arXiv:1604.06174).  Ops are looked up on the ops module when recorded.
 
     A tape made with replayable=False, as inference makes it, keeps no
     entries: it runs the same ops, drops each cache as it arrives, names
-    every output slot None and refuses to replay.
+    every output slot None and refuses to replay.  A replayed tape is
+    consumed: it keeps no entries either, and refuses to replay again.
     """
 
     def __init__(self, params: dict, n_inputs: int, replayable: bool = True):
         self.params = params
         self.n_inputs = n_inputs
         self.replayable = replayable
+        self.consumed = False
         self.entries = []
 
     def record(self, backward, cache, slots, names):
@@ -172,47 +171,60 @@ class Tape:
                                 (slot for _, slot in inputs), params)
 
     def batchnorm(self, h, stats, name, train):
-        """Batch norm `name` on (value, slot) h; returns ((output, slot),
-        new running mean, new running var)."""
+        """Batch norm `name` on (value, slot) h; returns (output, slot) and
+        stores the new running statistics (in eval mode the old) in stats."""
         names = (f"{name}.gamma", f"{name}.beta")
-        out, mean, var, cache = ops.batchnorm_forward(
+        out, stats[f"{name}.mean"], stats[f"{name}.var"], cache = ops.batchnorm_forward(
             h[0], *(self.params[n] for n in names),
             stats[f"{name}.mean"], stats[f"{name}.var"], train)
-        return (out, self.record(ops.batchnorm_backward, cache, (h[1],), names)), mean, var
+        return out, self.record(ops.batchnorm_backward, cache, (h[1],), names)
 
     def replay(self, gy):
-        """Walk the tape in reverse from gy, the gradient of its last output.
+        """Consume the tape in reverse from gy, the gradient of its last output.
 
         Returns (gradients keyed by parameter name, gradients of the
-        inputs).  A slot read by several ops gets their gradients summed in
-        arrival order.  A backward that returns its parameter gradients as
-        a dict (a gate with its own tape) has them stored as "<name>.<key>".
-        The tape is not changed, so replaying it twice gives the same bits.
+        inputs).  Each entry is popped before its backward runs, so its
+        cache is freed before the next backward starts.  A slot read by
+        several ops gets their gradients summed in arrival order.  The tape
+        is consumed, so replaying it again raises StateError.
         """
         if not self.replayable:
             raise StateError("tape comes from an inference forward (train=False), "
                              "which keeps no caches; backward needs forward(x, train=True)")
+        if self.consumed:
+            raise StateError("tape was consumed by an earlier backward; run forward again")
+        self.consumed = True
         pending = {self.n_inputs + len(self.entries) - 1: gy}
         grads = {}
-        for out_slot, (backward, cache, slots, names) in reversed(
-                list(enumerate(self.entries, start=self.n_inputs))):
-            out = backward(cache, pending.pop(out_slot))
+        while self.entries:
+            backward, cache, slots, names = self.entries.pop()
+            out = backward(cache, pending.pop(self.n_inputs + len(self.entries)))
             out = out if isinstance(out, tuple) else (out,)
             for slot, g in zip(slots, out):
                 pending[slot] = pending[slot] + g if slot in pending else g
-            for name, g in zip(names, out[len(slots):]):
-                if isinstance(g, dict):
-                    grads.update((f"{name}.{k}", v) for k, v in g.items())
-                else:
-                    grads[name] = g
+            grads.update(zip(names, out[len(slots):]))
         return grads, [pending[slot] for slot in range(self.n_inputs)]
 
 
-_GATE_CACHE_KEYS = frozenset({"tape", "psi", "psi_act", "psi_norm", "alpha", "rho"})
+def _attention_gate(tape, g, x, prefix, stats, train):
+    """The attention gate's 8 ops on `tape`, gating (value, slot) x by g.
+
+    Parameters and statistics are named `prefix` + "wg.w" and so on, as
+    "dec0.gate.wg.w" in a U-Net.  Returns ((output, slot), trace), where
+    trace holds each intermediate value; a caller that drops it keeps
+    none that no backward reads.
+    """
+    psi = tape.run("add", tape.run("conv2d", g, params=(f"{prefix}wg.w", f"{prefix}wg.b")),
+                   tape.run("conv2d", x, params=(f"{prefix}wx.w", f"{prefix}wx.b")))
+    psi_act = tape.run("relu", psi)
+    psi_norm = tape.batchnorm(psi_act, stats, f"{prefix}bn", train)
+    alpha = tape.run("sigmoid", psi_norm)
+    rho = tape.run("conv2d", alpha, params=(f"{prefix}wr.w", f"{prefix}wr.b"))
+    return tape.run("mul", rho, x), dict(psi=psi[0], psi_act=psi_act[0], psi_norm=psi_norm[0],
+                                         alpha=alpha[0], rho=rho[0])
 
 
-def attention_gate_forward(g, x_i, params, stats, train: bool = False,
-                           record: bool = True):
+def attention_gate_forward(g, x_i, params, stats, train: bool = False):
     """Gate the skip features x_i by an attention map derived from g.
 
     Pipeline, in order: psi = conv1x1(g) + conv1x1(x_i); psi_act =
@@ -220,30 +232,20 @@ def attention_gate_forward(g, x_i, params, stats, train: bool = False,
     rho = conv1x1(alpha) down to one channel; output = rho * x_i with
     channel broadcast.  Returns (output, (new_bn_mean, new_bn_var),
     cache); the cache holds the gate's own two-input tape and keeps each
-    intermediate under its own key so tests can inspect the trace.  With
-    record=False, as an inference forward of the U-Net calls it, that tape
-    keeps no entries and cannot be replayed.
+    intermediate under its own key so tests can inspect the trace.  The
+    U-Net runs the same ops on its own tape instead.
     """
     if g.ndim != 4 or x_i.ndim != 4 or g.shape[0] != x_i.shape[0] \
             or g.shape[2:] != x_i.shape[2:]:
         raise ShapeError(f"gate inputs misaligned: g {g.shape}, x {x_i.shape}")
-    tape = Tape(params, 2, replayable=record)
-    x = (x_i, 1)
-    psi = tape.run("add", tape.run("conv2d", (g, 0), params=("wg.w", "wg.b")),
-                   tape.run("conv2d", x, params=("wx.w", "wx.b")))
-    psi_act = tape.run("relu", psi)
-    psi_norm, new_mean, new_var = tape.batchnorm(psi_act, stats, "bn", train)
-    alpha = tape.run("sigmoid", psi_norm)
-    rho = tape.run("conv2d", alpha, params=("wr.w", "wr.b"))
-    out, _ = tape.run("mul", rho, x)
-    cache = {"tape": tape, "psi": psi[0], "psi_act": psi_act[0],
-             "psi_norm": psi_norm[0], "alpha": alpha[0], "rho": rho[0]}
-    return out, (new_mean, new_var), cache
+    tape, stats = Tape(params, 2), dict(stats)
+    (out, _), trace = _attention_gate(tape, (g, 0), (x_i, 1), "", stats, train)
+    return out, (stats["bn.mean"], stats["bn.var"]), dict(trace, tape=tape)
 
 
 def attention_gate_backward(cache, gy):
     """Returns (grad_g, grad_x, param grads keyed like init_gate_params)."""
-    if not isinstance(cache, dict) or not _GATE_CACHE_KEYS <= cache.keys():
+    if not isinstance(cache, dict) or not isinstance(cache.get("tape"), Tape):
         raise StateError("cache does not come from attention_gate_forward")
     grads, (g_g, g_x) = cache["tape"].replay(gy)
     return g_g, g_x, grads
@@ -273,10 +275,7 @@ class AttentionUNet:
         """
         for conv, bn in stages:
             h = tape.run("conv2d", h, params=(f"{conv}.w", f"{conv}.b"), padding=1)
-            h, new_mean, new_var = tape.batchnorm(h, self.stats, bn, train)
-            if train:
-                self.stats[f"{bn}.mean"] = new_mean
-                self.stats[f"{bn}.var"] = new_var
+            h = tape.batchnorm(h, self.stats, bn, train)
             h = tape.run("relu", h)
         return h
 
@@ -285,7 +284,7 @@ class AttentionUNet:
 
         Spatial dims must be multiples of 2^(depth-1).  Train mode
         refreshes this model's batch-norm running statistics and returns a
-        tape that backward replays.  Inference (train=False) returns a tape
+        tape that one backward consumes.  Inference (train=False) returns a tape
         with no entries, which backward rejects: no op cache outlives its
         op, so an inference forward holds only the live activations.
         """
@@ -320,21 +319,15 @@ class AttentionUNet:
             else:
                 h = self._conv_bn_relu(tape, tape.run("nearest_upsample2x", h),
                                        ((f"{up}.conv", f"{up}.bn"),), train)
-            skip = skips.pop()
-            gated, (new_mean, new_var), cache = attention_gate_forward(
-                h[0], skip[0], _group(self.params, gate), _group(self.stats, gate), train,
-                record=train)
-            if train:
-                self.stats[f"{gate}.bn.mean"] = new_mean
-                self.stats[f"{gate}.bn.var"] = new_var
-            gated = gated, tape.record(attention_gate_backward, cache, (h[1], skip[1]), (gate,))
+            # [0] drops the gate's trace at once, so no intermediate outlives it.
+            gated = _attention_gate(tape, h, skips.pop(), f"{gate}.", self.stats, train)[0]
             h = dconv(tape.run("concat_channels", gated, h), f"dec{i}")
         h = tape.run("conv2d", h, params=("head.w", "head.b"))
         out, _ = tape.run("sigmoid", h)
         return out, tape
 
     def backward(self, tape, gy):
-        """Returns (grads keyed like params, gradient w.r.t. the input)."""
+        """Returns (grads keyed like params, gradient w.r.t. the input); consumes the tape."""
         if not isinstance(tape, Tape) or tape.params is not self.params:
             raise StateError("tape does not come from this model's forward")
         grads, (gx,) = tape.replay(gy)
@@ -537,10 +530,13 @@ def gradcheck_suite(seed: int = 0):
                 if pname.endswith(".b") or pname.endswith(".beta"):
                     value[...] = nrng.uniform(0.05, 0.2, value.shape) \
                         * nrng.choice([-1.0, 1.0], size=value.shape)
+            # psi = wg(g) + wx(x) from the inputs the gate's convs cache
             _, probe_tape = model.forward(xm, train=True)
-            margin = min(float(np.abs(cache["psi"]).min())
-                         for backward, cache, _, _ in probe_tape.entries
-                         if backward is attention_gate_backward)
+            inputs = {names[0]: cache[0] for backward, cache, _, names in probe_tape.entries
+                      if backward is ops.conv2d_backward}
+            wg, wx = (ops.conv2d_forward(inputs[f"dec0.gate.{p}.w"], *(
+                model.params[f"dec0.gate.{p}.{k}"] for k in "wb"))[0] for p in ("wg", "wx"))
+            margin = float(np.abs(wg + wx).min())
             if margin > 1e-3:
                 break
         names = sorted(model.params)

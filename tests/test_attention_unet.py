@@ -6,6 +6,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -437,34 +438,45 @@ def test_forward_shapes_and_range(kind):
     out, _ = model.forward(x)
     assert out.shape == (1, 1, 64, 64)
     assert np.all(out > 0.0) and np.all(out < 1.0)
-    # one conv2d entry per kernel outside the gates and the transposed
-    # upsampling, and one gate entry per decoder level, on a train-mode
-    # tape (an inference tape keeps none)
+    # one conv2d entry per kernel outside the transposed upsampling, the
+    # gates' three 1x1 convs included, on a train-mode tape (an inference
+    # tape keeps none); the gates' ops are entries of the U-Net's tape
     _, tape = model.forward(x, train=True)
     kernels = [name for _, name, _ in parameter_shapes(cfg)
-               if name.endswith(".w") and ".gate." not in name
-               and not name.endswith(".up.w")]
+               if name.endswith(".w") and not name.endswith(".up.w")]
     convs = [names[0] for backward, _, _, names in tape.entries
              if backward is ops.conv2d_backward]
     assert sorted(convs) == sorted(kernels)
-    gates = [(names, cache) for backward, cache, _, names in tape.entries
-             if backward is attention_gate_backward]
-    assert [names for names, _ in gates] == [("dec1.gate",), ("dec0.gate",)]
-    for _, cache in gates:
-        gate_convs = [names for backward, _, _, names in cache["tape"].entries
-                      if backward is ops.conv2d_backward]
-        assert gate_convs == [("wg.w", "wg.b"), ("wx.w", "wx.b"), ("wr.w", "wr.b")]
+    assert [name for name in convs if ".gate." in name] == [
+        f"dec{i}.gate.{p}.w" for i in (1, 0) for p in ("wg", "wx", "wr")]
+    assert not any(backward is attention_gate_backward for backward, _, _, _ in tape.entries)
+
+
+def small_train_forward(kind, seed):
+    """A small model built from seed, its train-mode tape and an upstream gradient."""
+    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind),
+                        seed=seed)
+    rng = np.random.default_rng(2)
+    out, tape = model.forward(rng.uniform(size=(2, 1, 16, 16)), train=True)
+    return model, tape, rng.normal(size=out.shape).astype(out.dtype)
 
 
 @pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
-def test_backward_replay_is_pure(kind):
-    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind),
-                        seed=1)
-    rng = np.random.default_rng(2)
-    out, tape = model.forward(rng.uniform(size=(2, 1, 16, 16)), train=True)
-    gy = rng.normal(size=out.shape).astype(out.dtype)
-    grads1, gx1 = model.backward(tape, gy)
-    grads2, gx2 = model.backward(tape, gy)
+def test_backward_consumes_its_tape(kind):
+    model, tape, gy = small_train_forward(kind, seed=1)
+    model.backward(tape, gy)
+    assert tape.entries == []
+    with pytest.raises(StateError, match="consumed"):
+        model.backward(tape, gy)
+
+
+@pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
+def test_backward_is_repeatable_from_the_same_parameters(kind):
+    runs = []
+    for _ in range(2):
+        model, tape, gy = small_train_forward(kind, seed=1)
+        runs.append(model.backward(tape, gy))
+    (grads1, gx1), (grads2, gx2) = runs
     assert grads1.keys() == grads2.keys() == model.params.keys()
     for name in grads1:
         assert grads1[name].tobytes() == grads2[name].tobytes(), name
@@ -487,19 +499,17 @@ def test_backward_rejects_foreign_tape():
 @pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
 def test_inference_tape_keeps_no_entries(kind, monkeypatch):
     model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind))
-    gate_caches = []
+    gate_tapes = []
+    gate = unet._attention_gate
 
-    def spy(*args, **kwargs):
-        result = attention_gate_forward(*args, **kwargs)
-        gate_caches.append(result[2])
-        return result
+    def spy(tape, *args):
+        gate_tapes.append(tape)
+        return gate(tape, *args)
 
-    monkeypatch.setattr(unet, "attention_gate_forward", spy)
+    monkeypatch.setattr(unet, "_attention_gate", spy)
     _, tape = model.forward(np.random.default_rng(0).uniform(size=(2, 1, 16, 16)))
     assert not tape.replayable and tape.entries == []
-    assert len(gate_caches) == 2
-    for cache in gate_caches:
-        assert not cache["tape"].replayable and cache["tape"].entries == []
+    assert gate_tapes == [tape, tape]
 
 
 def test_backward_rejects_inference_tape():
@@ -512,8 +522,8 @@ def test_backward_rejects_inference_tape():
 def test_inference_forward_peaks_well_below_train_forward(traced_peak):
     """Traced peaks at the desk widths, batch 8, 64x64.
 
-    The train forward holds every op's cache until it returns (28.5 MiB);
-    the inference forward frees each as its op returns (11.4 MiB).  A tape
+    The train forward holds every op's cache until it returns (24.96 MiB);
+    the inference forward frees each as its op returns (8.30 MiB).  A tape
     that kept inference caches would peak like the train forward.
     """
     model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
@@ -524,7 +534,7 @@ def test_inference_forward_peaks_well_below_train_forward(traced_peak):
 
 
 def test_train_holds_one_tape_at_a_time(traced_peak):
-    """train over three batches peaks like train over one (32.4 vs 31.6 MiB).
+    """train over three batches peaks like train over one (26.7 vs 25.7 MiB).
 
     A step that kept its tape until the next forward returned held two
     tapes at once, and three batches then peaked at 57.9 MiB.
@@ -536,6 +546,69 @@ def test_train_holds_one_tape_at_a_time(traced_peak):
 
     one_step, three_steps = peak(8), peak(24)
     assert three_steps < 1.1 * one_step, f"{three_steps / one_step:.2f} of one step"
+
+
+def desk_step_inputs():
+    """The desk model (widths 8,16,32), a batch of 8 64x64 inputs and targets."""
+    model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(8, 1, 64, 64)).astype(np.float32)
+    return model, x, (rng.uniform(size=(8, 1, 64, 64)) > 0.7).astype(np.float32)
+
+
+def test_desk_train_step_peaks_below_the_buffers_it_no_longer_holds(traced_peak):
+    """One desk train step peaked at 30.87 MiB traced, inside backward,
+    when replay held every cache until it returned, each gate kept psi,
+    psi_act and psi_norm, and ReLU masks took a byte per value.  Now it
+    peaks at 24.95 MiB, at the end of its forward.
+
+    The bound is that 30.87 MiB less the buffers no backward reads: the
+    three gate intermediates (2.25 MiB) and 7/8 of the byte-per-value ReLU
+    masks (1.59 MiB), which leaves 27.03 MiB.
+    """
+    model, x, t = desk_step_inputs()
+    cfg, (n, _, size, _) = model.config, x.shape
+
+    def values(channels, level):
+        return n * channels * (size >> level) ** 2
+
+    gate_values = sum(values(c, i) for i, c in enumerate(cfg.resolved_gate_widths()))
+    # two ReLUs per double conv (encoders, bottleneck, decoders), one per gate
+    relu_values = 2 * sum(values(w, i) for i, w in enumerate(cfg.widths)) \
+        + 2 * sum(values(w, i) for i, w in enumerate(cfg.widths[:-1])) + gate_values
+    bound = 30.87 * 2**20 - 3 * gate_values * x.itemsize - relu_values * 7 / 8
+
+    def step():
+        out, tape = model.forward(x, train=True)
+        _, gy = bce_loss(out, t)
+        del out
+        model.backward(tape, gy)
+
+    peak = traced_peak(step)
+    assert peak < bound, f"{peak / 2**20:.2f} MiB against {bound / 2**20:.2f} MiB"
+
+
+def test_backward_rises_less_than_its_largest_input_gradient():
+    """Consuming the tape frees each cache once its backward has run, so
+    backward rises above the memory live when it starts by less than the
+    largest gradient it makes: dec0's first conv's input gradient (8 x 16
+    x 64 x 64 float32, 2 MiB).  It rose 6.09 MiB when every cache lived
+    until backward returned, and rises 1.60 MiB now.
+    """
+    model, x, t = desk_step_inputs()
+    tracemalloc.start()
+    try:
+        out, tape = model.forward(x, train=True)
+        _, gy = bce_loss(out, t)
+        del out
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model.backward(tape, gy)
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    bound = x.shape[0] * 2 * model.config.widths[0] * x.shape[2] * x.shape[3] * x.itemsize
+    assert rise < bound, f"{rise / 2**20:.2f} MiB against {bound / 2**20:.2f} MiB"
 
 
 def test_forward_accepts_nine_channel_input():

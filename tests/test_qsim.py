@@ -5,6 +5,7 @@ independently of each other; several tests below lean on that split to
 cross-check one against the other.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -257,6 +258,26 @@ def test_build_circuit_angles_in_range(template):
     for g in spec.gates:
         if g.kind != "CNOT":
             assert 0.0 <= g.angle < 2.0 * math.pi
+
+
+# sha256 of serialize_circuit(build_circuit(template, n, 2, seed=42)),
+# recorded while every angle had its own rng.uniform call, so drawing a
+# layer's angles in one call is pinned to the same stream order.
+SERIALIZED_DIGESTS = {
+    ("basic_entangled", 9): "76ba58f33f6e49a7708acc8b133863c789f4f1a6eae99d6455e562c099c3a0af",
+    ("basic_entangled", 12): "88e786e9fd4c32eb2b1ebb0aa89494284f6c008017b0a68a853b2c9bb6bbc22e",
+    ("strongly_entangled", 9): "0faa9dc3fe631dd50c4ac0c2a6b62ffb8ed914c5b43ce504c37b734f1884bfc7",
+    ("strongly_entangled", 12): "2784ad0f5ee527b1f3e5b075cf3a798607302bbf1e64892b635d59e4c84fa6ee",
+    ("random", 9): "ccab5de4b721b4e203762ae396bb2f5da2c065120cbf8f0990095a517d29c5b2",
+    ("random", 12): "528bd28cc70aceb7d8546e31812a2f88d3fa4b7196e50728dc475378ea4cf365",
+}
+
+
+@pytest.mark.parametrize("template,n_qubits", sorted(SERIALIZED_DIGESTS))
+def test_serialized_circuit_is_pinned(template, n_qubits):
+    text = serialize_circuit(build_circuit(template, n_qubits, 2, seed=42))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == SERIALIZED_DIGESTS[template, n_qubits]
 
 
 def test_build_circuit_rejects_bad_arguments():
