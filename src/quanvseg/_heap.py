@@ -21,8 +21,8 @@ import ctypes
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 # 32 MiB is the largest mmap threshold glibc accepts on 64-bit builds;
-# only the larger buffers (a 2^22-amplitude statevector chunk, say) still
-# get a mapping of their own, and give it back on free.
+# only the larger buffers (a compile's transfer block V at 13 or more
+# qubits, say) still get a mapping of their own, and give it back on free.
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 256 << 20
 

@@ -5,104 +5,45 @@ angle raster to their Z expectations (N, n) under the frozen n-qubit
 circuit `spec`.  The windows are the row-major (kh, kw) = window blocks of
 the raster at `stride`, N of them in row-major order; quanvolve passes
 pi times its padded image with (k, k) and its stride.  Window None reads
-each row of an (N, m) raster as one window, the case window = (1, m),
-through the same code.  Tap j of a window, read row-major, is the RY angle
-theta_j of qubit j, m = kh kw; the other n - m qubits start in |0>, so
-every window lies in the span of the 2**m basis states whose last n - m
-bits are 0.  One of two plans is chosen from (m, n):
+each row of an (N, m) raster as one window, the case window = (1, m).
+Tap j of a window, read row-major, is the RY angle theta_j of qubit j,
+m = kh kw; the other n - m qubits start in |0>.
 
-* dense (2**(m + n) <= DENSE_MAX_AMPLITUDES): the circuit is frozen, so
-  each <Z_q> is a fixed trigonometric polynomial of the window's angles,
-  with one coefficient per choice of (1, cos theta_j, sin theta_j) on
-  every encoded qubit: 3**m per measured qubit (Schuld, Sweke & Meyer,
-  arXiv:2008.08605).  The coefficients are compiled once per
-  (CircuitSpec, m), factored where they have low rank, and cached;
-  evaluation is one or two GEMMs per chunk.
-* statevector (above that): every window is simulated on a batch of
-  2**n-amplitude state vectors, in chunks of at most DENSE_MAX_AMPLITUDES
-  amplitudes, one chunk at a time.
-
-Both plans simulate the circuit with qsim.state.apply_gates_batch, in
-float64 for circuits of RY and CNOT gates only, else in complex128.
+The circuit is frozen, so each <Z_q> is a fixed trigonometric polynomial
+of the window's angles, with one coefficient per choice of (1, cos
+theta_j, sin theta_j) on every encoded qubit: 3**m per measured qubit
+(Schuld, Sweke & Meyer, arXiv:2008.08605).  The coefficients are compiled
+once per (CircuitSpec, m), factored where they have low rank, and cached;
+evaluation is two GEMMs per chunk of windows.
 
 Compile.  The 2**m x 2**n block V of the transfer matrix U^T that encoded
-windows reach is simulated as one batch of 2**m basis states.  For a
-real product state psi, <Z_q> = psi A_q psi with A_q = Re(V diag(S_q)
-V^+) = 2 Re(V_0 V_0^+) - I, V_0 being the columns in which qubit q is 0;
-rewriting each qubit's (row bit, column bit) pair in the basis (1,
-cos theta, sin theta) gives the coefficients, one 3**a x 3**b matrix C_q
-per qubit (a and b below).  Re(V_0 V_0^+) is summed over chunks of V_0's
-columns, copied into one buffer of at most max(4**m, 2**16) values, so
-the compile holds V and a few 2**m x 2**m (form-sized) buffers, never a
-copy of V_0; a V_0 that fits in one chunk is one syrk over all of it.
-V is freed first; then each C_q's SVD gives its numerical rank r_q, and
-C_q is kept as factors L_q (r_q x 3**a) and W_q (r_q x 3**b), C_q =
-L_q^T W_q, when r_q (3**a + 3**b) < 3**a 3**b, else whole.  The choice comes from the circuit alone.
+windows reach is simulated as one batch of 2**m basis states with
+qsim.state.apply_gates_batch, in float64 for circuits of RY and CNOT
+gates only, else in complex128.  For a real product state psi, <Z_q> =
+psi A_q psi with A_q = Re(V diag(S_q) V^+) = 2 Re(V_0 V_0^+) - I, V_0
+being the columns in which qubit q is 0.  Re(V_0 V_0^+) is summed over
+chunks of V_0's columns, copied into one buffer of at most max(4**m,
+2**16) values, so the compile holds V and a few 2**m x 2**m buffers.
+Rewriting each qubit's (row bit, column bit) pair in the basis (1, cos
+theta, sin theta) gives one 3**a x 3**b matrix C_q per qubit, over a =
+m // 2 head and b = m - a tail qubits.  V is then freed; each C_q's SVD
+gives its numerical rank r_q, and C_q is kept as factors L_q (r_q x
+3**a) and W_q (r_q x 3**b), C_q = L_q^T W_q, when r_q (3**a + 3**b) <
+3**a 3**b, else whole.  Windows of at most MAX_KERNEL_SIZE**2 = 9 taps
+on at most MAX_SIM_QUBITS = 16 qubits bound V at 2**25 amplitudes.
 
-Evaluate.  The encoded qubits split into a = m // 2 head and b = m - a
-tail qubits, and a window's features into head features Fh (3**a) and
-tail features Ft (3**b), each a product of per-qubit (1, cos, sin), so
-<Z_q> = Fh . (C_q @ Ft).  G = T @ Ft is one GEMM per chunk, T stacking
-the whole C_q and then every W_q; a whole qubit's <Z_q> is sum_alpha
-G[q, alpha] Fh[alpha].  For the factored ones, H = L @ Fh is one more
-GEMM over the stacked L_q, and <Z_q> sums H * G over q's r_q rows.  The
-split is what makes this cheap: the unsplit form needs all 3**m features
-of every window (4096 x 19683 float64, 645 MB, at m = 9) and a
-memory-bound GEMM with only n output columns, while the split form
-stores 3**a + 3**b features a window (324 at m = 9).  Each chunk's
-buffers are padded to a multiple of 8 windows of angle 0 (chunks hold
-2048), because OpenBLAS 0.3.31 rounds a GEMM with another column count
+Evaluate.  A window's head features Fh (3**a) and tail features Ft
+(3**b) are products of per-qubit (1, cos, sin), so <Z_q> = Fh . (C_q @
+Ft).  G = T @ Ft is one GEMM per chunk, T stacking the whole C_q and then
+every W_q; a whole qubit's <Z_q> is sum_alpha G[q, alpha] Fh[alpha].  For
+the factored ones, H = L @ Fh is one more GEMM over the stacked L_q, and
+<Z_q> sums H * G over q's r_q rows.  cos and sin are taken once per
+raster element; _gather copies each chunk's windows from tap views of
+them into reused buffers, and each qubit's expectations go straight into
+its row of one (n, N) array, returned as a transposed view.  Each chunk's
+GEMMs run over a multiple of 8 windows (the padding windows have angle
+0), because OpenBLAS 0.3.31 rounds a GEMM with another column count
 differently on 1 and 2 threads.
-
-Cost per window: sum_q min(r_q (3**a + 3**b), 3**a 3**b) multiply-adds,
-at most n * 3**m, against 2**(m + n) (twice that for complex circuits)
-for evaluating |psi V|^2 directly.  At m = 9 (81 x 243 C_q, factored
-for r_q <= 60), measured on the three templates (seed 42, n = 9 and
-12): one layer gives r_q = 1 on every qubit; two layers 2-10 on the
-entangling templates (44-64 rows in all against 729-972) and 1-3 on
-random; three layers 10-81 on the entangling templates, where 6-10 of
-9-12 qubits factor, and at most 3 on random; from four layers the
-entangling templates keep every C_q whole (r_q 70-81), while random
-still factors most qubits.  The cap of 2**22 amplitudes bounds the
-memory and time of the compile, which holds V plus form-sized buffers:
-it lets 3x3 windows (m = 9) run dense up to n = 13 (quanvolve encodes
-m = k**2 qubits).  For 2-layer strongly_entangled at m = 9 the
-compile's traced peak was 43 MiB at n = 12 (V is 32 MiB) and 76 MiB at
-n = 13 (V is 64 MiB), against 55 and 104 MiB while it copied all of V_0
-for each qubit; the shorter syrks made a cold compile 3-27% slower.
-On 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), for a 64x64 scene (4096
-windows) with m = 9, evaluation of a 2-layer circuit from its angle
-raster takes 3.9-4.3 ms at n = 12 (strongly_entangled) and 3.5-4.5 ms
-at n = 9 (basic_entangled), against 4.7-5.7 and 4.5-5.2 ms in the same
-3 alternating rounds from per-window angle copies, and 28-36 ms and
-22-28 ms, measured earlier, with every C_q whole; 3-layer circuits
-took 15-24 ms (22-35 ms whole), and a 4-layer basic_entangled circuit at
-n = 9, which keeps every C_q whole, 18-23 ms (22-26 ms before the
-factoring).  The SVDs add 25-45 ms to a compile at m = 9.  Simulating V
-took 0.11-0.14 s at n = 12 and 0.21-0.24 s at n = 13
-(strongly_entangled).  The statevector plan took 1.1-1.5 s for 4096
-windows at n = 12 (135 MB peak RSS).
-
-Input.  Both plans take cos and sin once per raster element (of theta
-for the dense plan, of theta/2 for the statevector plan), not once per
-window entry: a stride-1 3x3 grid reads each pixel 9 times.  Each
-function's raster is seen through m tap views (kh, kw, n_h, n_w), and
-_gather copies a chunk's window range [lo, hi) of them into the plan's
-reused (m, 3, chunk) or (m, 2, chunk) buffer, in at most three copies,
-so no array of N x m angles or trig values is made.  The products come
-from one helper, _products: the products of per-qubit factors over the
-first half of the qubits and over the rest each come from a short
-ladder, and one outer product of the two is written in place, with
-windows along the last axis.  The dense plan calls it on (1, cos theta,
-sin theta) for Fh and Ft, in buffers it reuses across chunks, as it
-reuses G and H; the statevector plan calls it on (cos theta/2, sin
-theta/2) and writes the product states into the amplitudes j << (n - m)
-of its zeroed batch.  Each plan writes qubit q's expectations straight
-into row q of one (n, N) array and returns its transposed view, so
-quanvolve rescales it in place and reshapes it to (n, n_h, n_w) without
-a copy.  For a 256x256 image at m = n = 9 quanvolve's traced peak went
-from 29.9 to 13.7 MiB (98.9 to 31.7 MiB at 512x512): the output, the
-angle raster with its cos and sin, and one chunk's buffers.
 
 quanvolve reaches run_windows through kernel() on every call, so a
 wrapper installed on kernel (perfbench/tracing.py times run_windows that
@@ -118,27 +59,18 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .exceptions import ConfigError
 from .qsim.circuits import CircuitSpec
 from .qsim.state import _BLOCK_AMPLITUDES, apply_gates_batch, batch_dtype
 
-# Largest transfer matrix (2**m x 2**n amplitudes) the dense plan compiles;
-# it bounds the memory of the compile, which holds V plus a few 2**m x 2**m
-# (form-sized) buffers, not of the evaluation.  It also bounds the
-# amplitudes of one statevector-plan chunk.
-DENSE_MAX_AMPLITUDES = 1 << 22
+# Largest k of the k x k windows the compile serves.  A window of at most
+# k**2 = 9 taps on at most MAX_SIM_QUBITS = 16 qubits keeps the transfer
+# block V, which the compile holds, at no more than 2**25 amplitudes.
+MAX_KERNEL_SIZE = 3
 
-# The dense plan evaluates windows in chunks of this many, so its buffers
-# stay bounded whatever the number of windows.
+# Windows are evaluated in chunks of this many, so the buffers stay
+# bounded whatever the number of windows.
 _CHUNK = 2048
-
-
-def plan_name(n_encoded: int, n_qubits: int) -> str:
-    """The plan for m = n_encoded encoded qubits of an n-qubit register."""
-    return "dense" if 1 << (n_encoded + n_qubits) <= DENSE_MAX_AMPLITUDES else "statevector"
-
-
-def _chunks(n_windows, size):
-    return [(lo, min(lo + size, n_windows)) for lo in range(0, n_windows, size)]
 
 
 # Per-qubit change of basis of the quadratic form psi A psi: over the
@@ -181,7 +113,7 @@ def _trig_coefficients(form, n_encoded):
 
 
 class _Factors(NamedTuple):
-    """The dense plan's compiled coefficients, one block of rows per qubit.
+    """The compiled coefficients, one block of rows per qubit.
 
     Qubit q's 3**a x 3**b coefficient matrix C_q (head features by tail
     features) is kept whole, or as low-rank factors L_q (r_q x 3**a) and
@@ -300,11 +232,6 @@ def _products(factors, out):
     np.multiply(head[:, None, :], tail[None, :, :], out=split)
 
 
-def _window_shape(angles, window):
-    """(kh, kw) of the windows of a raster; None reads each row as one window."""
-    return (1, angles.shape[1]) if window is None else tuple(window)
-
-
 def _trig_taps(angles, window, stride):
     """cos and sin of a raster, each as tap views (kh, kw, n_h, n_w).
 
@@ -313,7 +240,6 @@ def _trig_taps(angles, window, stride):
     every window.  cos and sin are taken once per raster element, however
     many windows read it.
     """
-    window = _window_shape(angles, window)
     return [sliding_window_view(f(angles), window)[::stride, ::stride].transpose(2, 3, 0, 1)
             for f in (np.cos, np.sin)]
 
@@ -339,11 +265,24 @@ def _gather(taps, lo, hi, out):
         out[:, :, last:] = taps[:, :, r1, :c1]
 
 
-def _dense_windows(angles, spec, window=None, stride=1):
-    """Z expectations (N, n) of a raster's windows, via _Factors."""
+def run_windows(angles, spec: CircuitSpec, window=None, stride=1):
+    """Z expectations (N, n_qubits) of the windows of a 2-D angle raster.
+
+    The windows are the row-major (kh, kw) = window blocks at stride, each
+    encoded on the circuit's first kh kw qubits; window None reads each
+    row of an (N, m) raster as one window.  The result is a transposed
+    view of an (n_qubits, N) array.  A window of more than
+    MAX_KERNEL_SIZE**2 taps, or of more taps than the circuit has qubits,
+    raises ConfigError.
+    """
+    window = (1, angles.shape[1]) if window is None else tuple(window)
+    m = window[0] * window[1]
+    if m > min(MAX_KERNEL_SIZE**2, spec.n_qubits):
+        raise ConfigError(f"windows of {m} taps exceed the {MAX_KERNEL_SIZE}x{MAX_KERNEL_SIZE} "
+                          f"kernel cap or the circuit's {spec.n_qubits} qubits")
     cos, sin = _trig_taps(angles, window, stride)
-    kh, kw, n_h, n_w = cos.shape
-    m, n_windows = kh * kw, n_h * n_w
+    n_h, n_w = cos.shape[2:]
+    n_windows = n_h * n_w
     a = m // 2
     factors = _coefficients(spec, m)
     whole = len(factors.order) - len(factors.starts)
@@ -364,7 +303,8 @@ def _dense_windows(angles, spec, window=None, stride=1):
     g = np.empty((factors.tail.shape[0], cols))
     h = np.empty((factors.head.shape[0], cols))
     ends = np.append(factors.starts[1:], len(h))
-    for lo, hi in _chunks(n_padded, _CHUNK):
+    for lo in range(0, n_padded, _CHUNK):
+        hi = min(lo + _CHUNK, n_padded)
         w, v = hi - lo, min(hi, n_windows) - lo
         _gather(cos, lo, lo + v, trig[:, 1, :v])
         _gather(sin, lo, lo + v, trig[:, 2, :v])
@@ -383,52 +323,6 @@ def _dense_windows(angles, spec, window=None, stride=1):
         for q, start, end in zip(factors.order[whole:], factors.starts, ends):
             np.sum(hw[start:end, :v], axis=0, out=out[q, lo:lo + v])
     return out.T
-
-
-def _statevector_windows(angles, spec, window=None, stride=1):
-    """Z expectations (N, n) of a raster's windows, gate by gate."""
-    cos, sin = _trig_taps(0.5 * angles, window, stride)
-    kh, kw, n_h, n_w = cos.shape
-    m, n_windows = kh * kw, n_h * n_w
-    n = spec.n_qubits
-    out = np.empty((n, n_windows))
-    # One chunk holds at most DENSE_MAX_AMPLITUDES amplitudes.
-    size = max(1, min(n_windows, DENSE_MAX_AMPLITUDES >> n))
-    batch = np.empty((size, 1 << n), dtype=batch_dtype(spec.gates))
-    probs = np.empty((size, 1 << n))
-    # Each encoded qubit's (cos theta/2, sin theta/2), one window per column.
-    trig = np.empty((m, 2, size))
-    for lo, hi in _chunks(n_windows, size):
-        w = hi - lo
-        psi = batch[:w]
-        psi.fill(0.0)
-        _gather(cos, lo, hi, trig[:, 0, :w])
-        _gather(sin, lo, hi, trig[:, 1, :w])
-        # Amplitudes j << (n - m): the encoded qubits spell j, the rest are 0.
-        _products(trig[:, :, :w], psi.reshape(w, 1 << m, -1)[:, :, 0].T)
-        apply_gates_batch(psi, spec.gates)
-        # |psi|**2 as the sum over the real (and imaginary) part of each amplitude.
-        parts = psi.view(np.float64).reshape(w, 1 << n, -1)
-        p = np.einsum("wak,wak->wa", parts, parts, out=probs[:w])
-        for q in range(n):
-            v = p.reshape(w, 1 << q, 2, -1)
-            out[q, lo:hi] = v[:, :, 0, :].sum(axis=(1, 2)) - v[:, :, 1, :].sum(axis=(1, 2))
-    return out.T
-
-
-_PLANS = {"dense": _dense_windows, "statevector": _statevector_windows}
-
-
-def run_windows(angles, spec: CircuitSpec, window=None, stride=1):
-    """Z expectations (N, n_qubits) of the windows of a 2-D angle raster.
-
-    The windows are the row-major (kh, kw) = window blocks at stride, each
-    encoded on the circuit's first kh kw qubits; window None reads each
-    row of an (N, m) raster as one window.  The result is a transposed
-    view of an (n_qubits, N) array.
-    """
-    kh, kw = _window_shape(angles, window)
-    return _PLANS[plan_name(kh * kw, spec.n_qubits)](angles, spec, (kh, kw), stride)
 
 
 def kernel():

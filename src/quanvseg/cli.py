@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .backend import plan_name
+from .backend import MAX_KERNEL_SIZE
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datapipe import (
     PatchItem,
@@ -117,7 +117,8 @@ CONFIG_SCHEMA = {
                                          f"in [1, {MAX_SIM_QUBITS}]")),
     "circuit.layers": _bounded(_as_int, _AT_LEAST_1),
     "circuit.seed": _bounded(_as_int, _SEED),
-    "quanv.kernel": _bounded(_as_int, _AT_LEAST_1),
+    "quanv.kernel": _bounded(_as_int, (lambda v: 1 <= v <= MAX_KERNEL_SIZE,
+                                       f"in [1, {MAX_KERNEL_SIZE}]")),
     "quanv.stride": _bounded(_as_int, _AT_LEAST_1),
     "quanv.padding": _as_choice(PADDINGS),
     "quanv.rescale": _as_bool,
@@ -266,8 +267,7 @@ def cmd_quanvolve(args) -> int:
     write_tensor(args.output, stack.data.astype(np.float32))
     if args.circuit_out:
         write_atomic(args.circuit_out, serialize_circuit(spec).encode("ascii"))
-    print(f"{args.output}: {stack.channels}x{stack.height}x{stack.width} "
-          f"feature stack ({plan_name(quanv_config.kernel_size ** 2, spec.n_qubits)} plan)")
+    print(f"{args.output}: {stack.channels}x{stack.height}x{stack.width} feature stack")
     return 0
 
 

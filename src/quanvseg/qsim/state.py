@@ -1,6 +1,6 @@
 """State vectors and elementary gate application for small qubit registers.
 
-Conventions (shared with the dense oracle and the quanvolution plans):
+Conventions (shared with the dense oracle and the quanvolution backend):
 
 * qubit 0 is the most significant bit of the amplitude index, so for a
   3-qubit register the amplitude at index 0b110 belongs to |110> with

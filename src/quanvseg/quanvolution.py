@@ -6,17 +6,17 @@ circuit, and measured.  Channel q of the output holds qubit q's Z
 expectation at every window position (optionally rescaled from [-1, 1] to
 [0, 1]).
 
-The circuit itself is evaluated in quanvseg.backend, by the dense or the
-statevector plan chosen from the encoded and total qubit counts.
+The circuit itself is evaluated in quanvseg.backend, whose compile serves
+kernels up to MAX_KERNEL_SIZE = 3 on up to MAX_SIM_QUBITS = 16 qubits.
 quanvolve hands it one raster, pi times the (reflect-padded) image, with
-the (k, k) window and the stride, and no copy of any window: the plan
+the (k, k) window and the stride, and no copy of any window: the backend
 takes cos and sin once per raster element and reads each chunk's windows
-from tap views of those rasters.  The plan returns a transposed view of
-an (n, N) array, which quanvolve rescales in place and reshapes to
-(n, H_out, W_out) without a copy.  At m = n = 9 (2-layer
-basic_entangled, 2 cores), a 512x512 image took 268-377 ms, against
-368-406 ms while every window's angles were copied (4 alternating
-rounds), and its traced peak went from 98.9 to 31.7 MiB.
+from tap views of those rasters.  It returns a transposed view of an (n,
+N) array, which quanvolve rescales in place and reshapes to (n, H_out,
+W_out) without a copy.  At m = n = 9 (2-layer basic_entangled, 2 cores),
+a 512x512 image took 268-377 ms, against 368-406 ms while every window's
+angles were copied (4 alternating rounds), and its traced peak went from
+98.9 to 31.7 MiB.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .backend import MAX_KERNEL_SIZE
 from .exceptions import ConfigError, EncodingRangeError, ShapeError, SizeError
 from .qsim.circuits import CircuitSpec
 from .qsim.state import MAX_SIM_QUBITS
@@ -48,19 +49,20 @@ class QuanvConfig:
     stride: int = 1
     padding: str = "same-reflect"
     rescale: bool = True
-    n_qubits: int | None = None
+
+    @property
+    def n_qubits(self) -> int:
+        """The circuit's qubit count, one output channel per qubit."""
+        return self.circuit.n_qubits
 
     def __post_init__(self):
-        if self.n_qubits is None:
-            object.__setattr__(self, "n_qubits", self.circuit.n_qubits)
-        if self.n_qubits != self.circuit.n_qubits:
-            raise ConfigError(
-                f"config n_qubits={self.n_qubits} but circuit has {self.circuit.n_qubits}"
-            )
-        if self.n_qubits > MAX_SIM_QUBITS:
-            raise ConfigError(f"n_qubits capped at {MAX_SIM_QUBITS}")
         if self.kernel_size < 1:
             raise ConfigError("kernel_size must be >= 1")
+        if self.kernel_size > MAX_KERNEL_SIZE:
+            raise ConfigError(f"kernel_size must be in [1, {MAX_KERNEL_SIZE}], "
+                              f"got {self.kernel_size}")
+        if self.n_qubits > MAX_SIM_QUBITS:
+            raise ConfigError(f"n_qubits capped at {MAX_SIM_QUBITS}")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
         if self.padding not in PADDINGS:

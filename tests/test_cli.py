@@ -122,6 +122,8 @@ BAD_VALUE_RUNS = {
     "circuit.layers=0": ("quanvolve", ["--set", "circuit.layers=0"], "circuit.layers"),
     "circuit.seed=-1": ("quanvolve", ["--set", "circuit.seed=-1"], "circuit.seed"),
     "circuit.seed=2**64": ("quanvolve", ["--set", f"circuit.seed={2**64}"], "circuit.seed"),
+    "quanv.kernel=4": ("quanvolve", ["--set", "circuit.qubits=16", "--set", "quanv.kernel=4"],
+                       "quanv.kernel"),
     "train.batch=0": ("train", ["--set", "train.batch=0"], "train.batch"),
     "train.epochs=0": ("train", ["--set", "train.epochs=0"], "train.epochs"),
     "train.epochs=-1": ("train", ["--set", "train.epochs=-1"], "train.epochs"),
@@ -216,8 +218,7 @@ def test_quanvolve_default_shape(workdir, capsys):
     stack = read_tensor(out)
     assert stack.shape == (9, 64, 64)
     printed = capsys.readouterr().out
-    assert "9x64x64" in printed
-    assert "(dense plan)" in printed
+    assert printed == f"{out}: 9x64x64 feature stack\n"
 
 
 def test_quanvolve_circuit_reuse_is_bit_identical(workdir):
@@ -497,6 +498,7 @@ def quanv_checkpoint(prefix, seed=0):
 
 @pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
                                            ("quanv.kernel 0", "kernel_size must be >= 1"),
+                                           ("quanv.kernel 4", "kernel_size must be in [1, 3]"),
                                            ("", "missing header 'quanv.kernel'")])
 def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, message):
     prefix = str(tmp_path / "qckpt")

@@ -1,7 +1,7 @@
 """Quanvolution tests: geometry, ranges, oracle equivalence, determinism.
 
 The reference route here re-evaluates every window through the dense
-unitary oracle, bypassing both evaluation plans entirely.
+unitary oracle, bypassing the backend's compiled coefficients entirely.
 """
 
 import hashlib
@@ -33,8 +33,7 @@ from quanvseg.qsim.state import (
 )
 from quanvseg.backend import (
     _CHUNK,
-    _PLANS,
-    DENSE_MAX_AMPLITUDES,
+    MAX_KERNEL_SIZE,
     _coefficients,
     _gather,
     _products,
@@ -43,7 +42,6 @@ from quanvseg.backend import (
     _trig_coefficients,
     _trig_taps,
     backend_name,
-    plan_name,
     run_windows,
 )
 from quanvseg.quanvolution import PADDINGS, QuanvConfig, quanvolve, window_positions
@@ -126,11 +124,6 @@ def test_config_takes_qubits_from_circuit():
     assert config.n_qubits == 4
 
 
-def test_config_rejects_qubit_mismatch():
-    with pytest.raises(ConfigError):
-        small_config(n_qubits=5)
-
-
 def test_config_enforces_qubit_lower_bound():
     # k=3 needs at least 9 qubits
     circuit = build_circuit("basic_entangled", 4, 1, seed=0)
@@ -145,6 +138,14 @@ def test_config_rejects_bad_padding_and_stride():
         small_config(stride=0)
     with pytest.raises(ConfigError):
         small_config(kernel_size=0)
+    # The kernel cap is checked first, so 16 qubits for 4x4 windows do not help.
+    wide = build_circuit("basic_entangled", 16, 1, seed=2)
+    with pytest.raises(ConfigError, match=r"kernel_size must be in \[1, 3\]"):
+        small_config(circuit=wide, kernel_size=4)
+    with pytest.raises(ConfigError, match="3x3 kernel cap"):
+        run_windows(np.zeros((2, 16)), wide)
+    with pytest.raises(ConfigError, match="circuit's 4 qubits"):
+        run_windows(np.zeros((2, 6)), small_config().circuit)
 
 
 # ---------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_input_validation():
 
 
 # ---------------------------------------------------------------------
-# Oracle equivalence, both evaluation plans
+# Oracle equivalence
 
 
 @pytest.mark.parametrize("padding", ["valid", "same-reflect"])
@@ -280,15 +281,14 @@ def oracle_expectations(spec, enc):
 @pytest.mark.parametrize("n_qubits, n_encoded", [(4, 4), (9, 9), (6, 4), (3, 1), (7, 5)],
                          ids=["4", "9", "6-on-4", "3-on-1", "7-on-5"])
 @pytest.mark.parametrize("template", TEMPLATES)
-@pytest.mark.parametrize("plan", sorted(_PLANS))
-def test_plan_matches_window_oracle(plan, template, n_qubits, n_encoded):
+def test_run_windows_matches_window_oracle(template, n_qubits, n_encoded):
     """Windows encoded on the first m qubits; the oracle sees angle 0 on the rest."""
     circuit = build_circuit(template, n_qubits, 2, seed=9)
     rng = np.random.default_rng(8)
     enc = math.pi * rng.uniform(size=(40, n_encoded))
     enc[:4] = 0.0
     enc[4:8] = math.pi
-    got = _PLANS[plan](enc, circuit)
+    got = run_windows(enc, circuit)
     assert got.shape == (40, n_qubits)
     full = np.pad(enc, ((0, 0), (0, n_qubits - n_encoded)))
     npt.assert_allclose(got, oracle_expectations(circuit, full), atol=1e-9)
@@ -296,7 +296,7 @@ def test_plan_matches_window_oracle(plan, template, n_qubits, n_encoded):
 
 @pytest.mark.parametrize("n_encoded", range(1, 11))
 def test_product_states_match_kron_ladder(n_encoded):
-    """_products of per-qubit (cos theta/2, sin theta/2), as the statevector plan builds them."""
+    """_products of per-qubit factors, written through a transposed view, against np.kron."""
     enc = math.pi * np.random.default_rng(n_encoded).uniform(size=(6, n_encoded))
     enc[0] = 0.0
     enc[1] = math.pi
@@ -311,11 +311,6 @@ def test_product_states_match_kron_ladder(n_encoded):
     got = np.empty((6, 1 << n_encoded))
     _products(factors, got.T)
     npt.assert_allclose(got, want, rtol=0, atol=1e-15)
-    # The same states written into a strided view, as the statevector plan does.
-    psi = np.zeros((6, 1 << (n_encoded + 2)), dtype=np.complex128)
-    _products(factors, psi.reshape(6, 1 << n_encoded, -1)[:, :, 0].T)
-    npt.assert_array_equal(psi[:, ::4], got)
-    assert not psi.reshape(6, 1 << n_encoded, -1)[:, :, 1:].any()
 
 
 @pytest.mark.parametrize("window, stride", [((3, 3), 1), ((2, 2), 3), ((1, 7), 1), ((3, 2), 2)])
@@ -346,13 +341,13 @@ def test_run_windows_takes_one_window_per_row_by_default():
     npt.assert_allclose(got, oracle_expectations(circuit, full), atol=1e-9)
 
 
-# (template, qubits, kernel, raster shape): dense at m = 9 over two chunks
-# with whole and factored qubits, dense at m = 4, and statevector at n = 14
-# over two chunks of 256 windows that break mid-row.
+# (template, qubits, kernel, raster shape): m = 9 over two chunks with
+# whole and factored qubits, m = 4, and m = 9 at n = 14, whose compile
+# sums each qubit's form over several chunks of V_0.
 CROSS_FORM_CASES = {
     "dense-9": ("basic_entangled", 9, 3, (50, 70)),
     "dense-k2-11": ("strongly_entangled", 11, 2, (23, 29)),
-    "statevector-14": ("strongly_entangled", 14, 3, (21, 26)),
+    "dense-14": ("strongly_entangled", 14, 3, (21, 26)),
 }
 
 
@@ -361,7 +356,7 @@ CROSS_FORM_CASES = {
 def test_raster_windows_give_the_bytes_of_stacked_windows(case, stride):
     """A (k, k) window over a raster against the (N, k**2) copies of its windows.
 
-    The oracle tests feed each plan (N, m) arrays, one window per row;
+    The oracle tests feed run_windows (N, m) arrays, one window per row;
     quanvolve feeds the padded raster.  The two must give the same bits.
     """
     template, n_qubits, kernel, shape = CROSS_FORM_CASES[case]
@@ -369,10 +364,9 @@ def test_raster_windows_give_the_bytes_of_stacked_windows(case, stride):
     raster = math.pi * np.random.default_rng(24).uniform(size=shape)
     windows = sliding_window_view(raster, (kernel, kernel))[::stride, ::stride]
     flat = windows.reshape(-1, kernel * kernel)
-    plan = _PLANS[case.split("-")[0]]
-    got = plan(raster, circuit, (kernel, kernel), stride)
+    got = run_windows(raster, circuit, (kernel, kernel), stride)
     assert got.shape == (len(flat), n_qubits)
-    assert got.tobytes() == plan(flat, circuit).tobytes()
+    assert got.tobytes() == run_windows(flat, circuit).tobytes()
 
 
 # sha256 of quanvolve outputs per (template, qubits, layers, kernel, image
@@ -380,20 +374,21 @@ def test_raster_windows_give_the_bytes_of_stacked_windows(case, stride):
 # (3500 at stride 1), 65x65 spans three dense chunks, the 3-layer circuit
 # keeps qubits 0 and 8 whole, and k = 2 at n = 11 keeps 7 of 11 whole.
 # Recorded while quanvolve still copied every window's angles; reading
-# them from the raster must not move a bit.
+# them from the raster must not move a bit.  dense-14 was recorded when it
+# left the statevector plan, whose output it matched to 1.7e-15.
 QUANV_CASES = {
     "dense-9": ("basic_entangled", 9, 2, 3, ((50, 70), (65, 65))),
     "dense-9-3-layer": ("basic_entangled", 9, 3, 3, ((50, 70),)),
     "dense-12": ("strongly_entangled", 12, 2, 3, ((50, 70), (31, 44))),
     "dense-k2-11": ("strongly_entangled", 11, 2, 2, ((50, 70), (23, 29))),
-    "statevector-14": ("strongly_entangled", 14, 2, 3, ((9, 11),)),
+    "dense-14": ("strongly_entangled", 14, 2, 3, ((9, 11),)),
 }
 QUANV_DIGESTS = {
     "dense-9": "88221f34afae1701d08cff440d60a858be439eb60f32709b69a308afef6f3aa9",
     "dense-9-3-layer": "78d5721eb647151c6e2aabe505aa5ae2613bc42e2d05c47f24de463ba2752380",
     "dense-12": "e688c7937100b8d4f568904265a55d65e17920ec140b8ab6f7fef4b604a0ae04",
     "dense-k2-11": "319bef9b527fbc9b4b23847833e27eb0d36e46f86d74ec3b938107e0c08d44ee",
-    "statevector-14": "1a7fdf13c1609bebf12a755c7bd44f892a753247e52a32aa14f2795c1a4685a0",
+    "dense-14": "160b995ff4259417e6facd0a339bf09cf5fd64a12f53fbfad2d3999cf256256e",
 }
 
 
@@ -415,8 +410,6 @@ def quanv_digest(template, n_qubits, layers, kernel, sizes):
 
 @pytest.mark.parametrize("case", sorted(QUANV_CASES))
 def test_quanvolve_outputs_are_pinned(case):
-    template, n_qubits, _, kernel, _ = QUANV_CASES[case]
-    assert plan_name(kernel**2, n_qubits) == case.split("-")[0]
     assert quanv_digest(*QUANV_CASES[case]) == QUANV_DIGESTS[case]
 
 
@@ -446,9 +439,8 @@ def test_quanvolve_holds_its_output_rasters_and_one_chunk(traced_peak):
 def test_dense_plan_last_chunk_of_one_window_matches_oracle():
     """Three chunks, the last of them a single window, reusing the buffers."""
     circuit = build_circuit("strongly_entangled", 5, 2, seed=17)
-    assert plan_name(5, 5) == "dense"
     enc = math.pi * np.random.default_rng(17).uniform(size=(2 * _CHUNK + 1, 5))
-    got = _PLANS["dense"](enc, circuit)
+    got = run_windows(enc, circuit)
     npt.assert_allclose(got, oracle_expectations(circuit, enc), atol=1e-9)
 
 
@@ -466,7 +458,7 @@ def test_dense_plan_allocates_no_per_chunk_temporaries(traced_peak):
     _coefficients(circuit, 9)  # compile first: the cached coefficients are not counted
     enc = math.pi * np.random.default_rng(16).uniform(size=(2 * _CHUNK + 1, 9))
     buffer_bytes = _CHUNK * 512 * 8
-    peak = traced_peak(lambda: _PLANS["dense"](enc, circuit))
+    peak = traced_peak(lambda: run_windows(enc, circuit))
     assert peak < 1.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} chunk buffers"
 
 
@@ -480,25 +472,8 @@ def test_dense_plan_at_12_qubits_allocates_no_2_to_the_n_buffers(traced_peak):
     _coefficients(circuit, 9)
     enc = math.pi * np.random.default_rng(19).uniform(size=(4096, 9))
     buffer_bytes = _CHUNK * 4096 * 8
-    peak = traced_peak(lambda: _PLANS["dense"](enc, circuit))
+    peak = traced_peak(lambda: run_windows(enc, circuit))
     assert peak < 0.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} (chunk, 4096) buffers"
-
-
-def test_statevector_chunks_hold_a_bounded_number_of_amplitudes(traced_peak):
-    """A three-chunk statevector call at m = 9, n = 12.
-
-    The plan holds one chunk of DENSE_MAX_AMPLITUDES complex128 amplitudes
-    and their probabilities, about 1.5 chunks; the gates run on row blocks
-    of it through small scratch buffers.  Chunks of 2048 windows whatever
-    n, several in flight, or a copy of half the batch per rotation push
-    the peak past 2.
-    """
-    circuit = build_circuit("strongly_entangled", 12, 1, seed=17)
-    windows = 2 * (DENSE_MAX_AMPLITUDES >> 12) + 1
-    enc = math.pi * np.random.default_rng(17).uniform(size=(windows, 9))
-    chunk_bytes = DENSE_MAX_AMPLITUDES * 16
-    peak = traced_peak(lambda: _PLANS["statevector"](enc, circuit))
-    assert peak < 2 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks"
 
 
 def trig_features(angles):
@@ -638,56 +613,38 @@ def test_real_circuits_compile_in_float64():
     assert block.tobytes() == np.ascontiguousarray(rows.real).tobytes()
 
 
+@pytest.mark.parametrize("n_qubits", [11, 14])
 @pytest.mark.parametrize("template", TEMPLATES)
-@pytest.mark.parametrize("plan", sorted(_PLANS))
-def test_plan_matches_simulator_for_3x3_windows_on_11_qubits(plan, template):
-    """k = 3 on 11 qubits, against the single-state simulator."""
-    circuit = build_circuit(template, 11, 2, seed=9)
+def test_run_windows_matches_simulator_for_3x3_windows(template, n_qubits):
+    """k = 3 on 11 and 14 qubits, against the single-state simulator."""
+    circuit = build_circuit(template, n_qubits, 2, seed=9)
     windows = np.random.default_rng(8).uniform(size=(24, 9))
     windows[:2] = 0.0
     windows[2:4] = 1.0
-    got = _PLANS[plan](math.pi * windows, circuit)
-    want = [measure_z_expectations(run_circuit(circuit, angle_encode(w, 11)))
+    got = run_windows(math.pi * windows, circuit)
+    want = [measure_z_expectations(run_circuit(circuit, angle_encode(w, n_qubits)))
             for w in windows]
     npt.assert_allclose(got, want, atol=1e-9)
 
 
-def test_backends_agree():
-    """The dense and statevector plans agree over several chunks."""
-    circuit = build_circuit("strongly_entangled", 5, 2, seed=10)
-    enc = math.pi * np.random.default_rng(9).uniform(size=(2 * _CHUNK + 7, 5))
-    dense = _PLANS["dense"](enc, circuit)
-    simulated = _PLANS["statevector"](enc, circuit)
-    npt.assert_allclose(dense, simulated, atol=1e-12)
-
-
 def test_selected_backend_is_reported():
-    """The plan follows 2**(m + n) against the cap; only dense ones compile."""
+    """One implementation; each kernel up to the cap compiles once and runs."""
     assert backend_name() == "numpy"
-    assert DENSE_MAX_AMPLITUDES == 1 << 22
-    # 3x3 windows run dense up to 13 qubits, full-width encodings up to 11.
-    assert plan_name(9, 13) == "dense"
-    assert plan_name(9, 14) == "statevector"
-    assert plan_name(11, 11) == "dense"
-    assert plan_name(12, 12) == "statevector"
-    assert plan_name(16, 16) == "statevector"
+    assert MAX_KERNEL_SIZE == 3
+    circuit = build_circuit("basic_entangled", 9, 1, seed=11)
     image = np.random.default_rng(11).uniform(size=(5, 5))
     _coefficients.cache_clear()
-    for kernel_size, n_qubits, plan in ((2, 11, "dense"), (4, 16, "statevector")):
-        assert plan_name(kernel_size**2, n_qubits) == plan
-        circuit = build_circuit("basic_entangled", n_qubits, 1, seed=11)
+    for kernel_size in range(1, MAX_KERNEL_SIZE + 1):
         config = small_config(circuit=circuit, kernel_size=kernel_size)
         got = quanvolve(image, config).data
-        assert got.shape == (n_qubits, 6 - kernel_size, 6 - kernel_size)
-    # Only the 11-qubit circuit was compiled.
-    assert _coefficients.cache_info().misses == 1
+        assert got.shape == (9, 6 - kernel_size, 6 - kernel_size)
+    assert _coefficients.cache_info().misses == MAX_KERNEL_SIZE
 
 
 def test_3x3_windows_on_12_qubits_compile_the_encoded_block_once():
     circuit = build_circuit("strongly_entangled", 12, 1, seed=15)
     image = np.random.default_rng(15).uniform(size=(6, 6))
     config = QuanvConfig(circuit=circuit, kernel_size=3)
-    assert plan_name(9, 12) == "dense"
     _coefficients.cache_clear()
     first = quanvolve(image, config).data
     second = quanvolve(image, config).data
@@ -729,44 +686,23 @@ def test_transfer_matrix_encoding():
 # Determinism under BLAS threading
 
 
-def _statevector_bytes(blas_threads):
-    """Run the statevector plan on 3x3-window encodings for 11 qubits over
-    two chunks, in a subprocess with a fixed BLAS thread count."""
-    code = (
-        "import math, sys\n"
-        "import numpy as np\n"
-        "from quanvseg.backend import DENSE_MAX_AMPLITUDES, _PLANS\n"
-        "from quanvseg.qsim.circuits import build_circuit\n"
-        "circuit = build_circuit('strongly_entangled', 11, 1, seed=12)\n"
-        "enc = math.pi * np.random.default_rng(13).uniform(size=(47 * 47, 9))\n"
-        "chunk = DENSE_MAX_AMPLITUDES >> 11\n"
-        "assert chunk < 47 * 47 <= 2 * chunk\n"
-        "sys.stdout.buffer.write(_PLANS['statevector'](enc, circuit).tobytes())\n"
-    )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, check=True)
-    return out.stdout
-
-
-def test_thread_count_does_not_change_bytes():
-    assert _statevector_bytes(1) == _statevector_bytes(2)
-
-
 def _dense_bytes(blas_threads):
-    """Quanvolve with every template at 9 qubits under a fixed BLAS thread count."""
+    """Quanvolve with every template at 9 qubits, and with a 14-qubit circuit
+    whose compile sums each form over several chunks, under a fixed BLAS
+    thread count."""
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from quanvseg.qsim.circuits import TEMPLATES, build_circuit\n"
-        "from quanvseg.backend import plan_name\n"
         "from quanvseg.quanvolution import QuanvConfig, quanvolve\n"
-        "assert plan_name(9, 9) == 'dense'\n"
         "for size in (37, 50, 64):\n"
         "    image = np.random.default_rng(size).uniform(size=(size, size))\n"
         "    for template in TEMPLATES:\n"
         "        config = QuanvConfig(circuit=build_circuit(template, 9, 2, seed=14))\n"
         "        sys.stdout.buffer.write(quanvolve(image, config).data.tobytes())\n"
+        "config = QuanvConfig(circuit=build_circuit('strongly_entangled', 14, 2, seed=14))\n"
+        "image = np.random.default_rng(14).uniform(size=(50, 50))\n"
+        "sys.stdout.buffer.write(quanvolve(image, config).data.tobytes())\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     out = subprocess.run([sys.executable, "-c", code], env=env,
