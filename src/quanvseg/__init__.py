@@ -1,7 +1,10 @@
 """Quanvolution-assisted attention U-Net for binary raster segmentation.
 
-A frozen quantum circuit, simulated on the state vector, turns each
-image window into one feature channel per measured qubit; a small
+A frozen quantum circuit turns each image window into one feature
+channel per measured qubit.  Because the circuit is frozen, each qubit's
+Z expectation is a fixed trigonometric polynomial of the window's
+angles: the circuit is compiled once into that polynomial's
+coefficients, and every window is evaluated from them.  A small
 attention-gated U-Net with hand-derived gradients consumes either the
 raw band or the quanvoluted stack.
 """

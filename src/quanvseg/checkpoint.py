@@ -34,11 +34,10 @@ from .fileio import (
     located,
     read_text,
     tensor_from_bytes,
-    tensor_record_size,
     tensor_to_bytes,
     write_atomic,
 )
-from .qsim.circuits import parse_circuit
+from .qsim.circuits import parse_circuit, serialize_circuit
 from .quanvolution import QuanvConfig
 from .unet import AttentionUNet, AttentionUNetConfig, parameter_shapes
 
@@ -46,9 +45,9 @@ MANIFEST_MAGIC = "quanvseg-checkpoint 1"
 _QUANV_KEYS = ("quanv.kernel", "quanv.stride", "quanv.padding", "quanv.rescale")
 
 
-def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
-                    circuit_text: str | None = None):
-    """Write `<prefix>.tensors` (and `.circuit` if given), then `.manifest`.
+def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None):
+    """Write `<prefix>.tensors` (and, with a quanv_config, `.circuit`),
+    then `.manifest`.
 
     Every file is built in memory and replaced atomically, so a save that
     fails before its first write leaves the previous checkpoint loadable,
@@ -61,13 +60,13 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None,
         f"in_channels {cfg.in_channels}",
         f"depth {cfg.depth}",
         "widths " + ",".join(str(w) for w in cfg.widths),
-        "gate_widths " + ",".join(str(w) for w in cfg.resolved_gate_widths()),
+        "gate_widths " + ",".join(str(w) for w in cfg.gate_widths),
         f"upsample {cfg.upsample}",
         f"dtype {model.dtype.name}",
     ]
+    circuit_text = None
     if quanv_config is not None:
-        if circuit_text is None:
-            raise ValueError("quanv checkpoints need the serialized circuit")
+        circuit_text = serialize_circuit(quanv_config.circuit)
         lines.append(f"quanv.kernel {quanv_config.kernel_size}")
         lines.append(f"quanv.stride {quanv_config.stride}")
         lines.append(f"quanv.padding {quanv_config.padding}")
@@ -144,11 +143,16 @@ def load_checkpoint(prefix):
     try:
         config = AttentionUNetConfig(
             in_channels=header_int("in_channels"),
-            depth=header_int("depth"),
             widths=header_ints("widths"),
-            gate_widths=header_ints("gate_widths"),
             upsample=header["upsample"][0],
         )
+        # Both follow from widths; the manifest keeps them for its readers.
+        for key, derived in (("depth", (config.depth,)), ("gate_widths", config.gate_widths)):
+            if header_ints(key) != derived:
+                text, where = header[key]
+                raise FileFormatError(
+                    f"{where}: {key} {text} does not match widths {config.widths}, "
+                    f"which give {','.join(str(v) for v in derived)}")
     except KeyError as exc:
         raise FileFormatError(f"{manifest}: missing header {exc}") from None
     except ConfigError as exc:
@@ -180,10 +184,11 @@ def load_checkpoint(prefix):
     if len(blob) != n_bytes:
         raise mismatch
     loaded: dict[str, tuple[str, np.ndarray]] = {}
+    records = memoryview(blob)
     with located(prefix + ".tensors"):
         for kind, name, shape, offset in tensor_lines:
-            size = tensor_record_size(blob[offset : offset + 22], offset)
-            arr = tensor_from_bytes(blob[offset : offset + size], offset)
+            # The parser checks the magic first and ignores bytes past the record.
+            arr = tensor_from_bytes(records[offset:], offset)
             if arr.shape != shape:
                 raise FileFormatError(
                     f"tensor {name}: manifest says {shape}, file holds {arr.shape}",

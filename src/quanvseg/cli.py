@@ -111,52 +111,32 @@ def _bounded(convert, bound):
     return lambda key, text: _check(key, convert(key, text), bound)
 
 
-CONFIG_SCHEMA = {
-    "circuit.template": _as_choice(TEMPLATES),
-    "circuit.qubits": _bounded(_as_int, (lambda v: 1 <= v <= MAX_SIM_QUBITS,
-                                         f"in [1, {MAX_SIM_QUBITS}]")),
-    "circuit.layers": _bounded(_as_int, _AT_LEAST_1),
-    "circuit.seed": _bounded(_as_int, _SEED),
-    "quanv.kernel": _bounded(_as_int, (lambda v: 1 <= v <= MAX_KERNEL_SIZE,
-                                       f"in [1, {MAX_KERNEL_SIZE}]")),
-    "quanv.stride": _bounded(_as_int, _AT_LEAST_1),
-    "quanv.padding": _as_choice(PADDINGS),
-    "quanv.rescale": _as_bool,
-    "model.depth": _bounded(_as_int, (lambda v: v >= 2, ">= 2")),
-    "model.widths": _bounded(_as_widths, (lambda v: min(v) >= 1, "all >= 1")),
-    "model.in_channels": _bounded(_as_int, _AT_LEAST_1),
-    "train.lr": _bounded(_as_float, (lambda v: 0.0 < v < math.inf, "a finite number > 0")),
-    "train.epochs": _bounded(_as_int, _AT_LEAST_1),
-    "train.batch": _bounded(_as_int, _AT_LEAST_1),
-    "train.seed": _bounded(_as_int, _SEED),
-    "data.patch": _bounded(_as_int, _AT_LEAST_1),
-    "data.stride": _bounded(_as_int, _AT_LEAST_1),
-    "data.test_fraction": _bounded(_as_float, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
-    "norm.lo_db": _bounded(_as_float, _FINITE),
-    "norm.hi_db": _bounded(_as_float, _FINITE),
-}
-
-DEFAULTS = {
-    "circuit.template": "basic_entangled",
-    "circuit.qubits": 9,
-    "circuit.layers": 2,
-    "circuit.seed": 42,
-    "quanv.kernel": 3,
-    "quanv.stride": 1,
-    "quanv.padding": "same-reflect",
-    "quanv.rescale": True,
-    "model.depth": 3,
-    "model.widths": (8, 16, 32),
-    "model.in_channels": 1,
-    "train.lr": 1e-3,
-    "train.epochs": 30,
-    "train.batch": 8,
-    "train.seed": 0,
-    "data.patch": 256,
-    "data.stride": 128,
-    "data.test_fraction": 0.2,
-    "norm.lo_db": -25.0,
-    "norm.hi_db": 5.0,
+# Every config key: (default, parser).  A parser turns the key's value
+# text into its typed value, or raises a ConfigError naming the key.
+CONFIG_KEYS = {
+    "circuit.template": ("basic_entangled", _as_choice(TEMPLATES)),
+    "circuit.qubits": (9, _bounded(_as_int, (lambda v: 1 <= v <= MAX_SIM_QUBITS,
+                                             f"in [1, {MAX_SIM_QUBITS}]"))),
+    "circuit.layers": (2, _bounded(_as_int, _AT_LEAST_1)),
+    "circuit.seed": (42, _bounded(_as_int, _SEED)),
+    "quanv.kernel": (3, _bounded(_as_int, (lambda v: 1 <= v <= MAX_KERNEL_SIZE,
+                                           f"in [1, {MAX_KERNEL_SIZE}]"))),
+    "quanv.stride": (1, _bounded(_as_int, _AT_LEAST_1)),
+    "quanv.padding": ("same-reflect", _as_choice(PADDINGS)),
+    "quanv.rescale": (True, _as_bool),
+    "model.widths": ((8, 16, 32), _bounded(_as_widths, (
+        lambda v: len(v) >= 2 and min(v) >= 1, "at least 2 entries, all >= 1"))),
+    "model.in_channels": (1, _bounded(_as_int, _AT_LEAST_1)),
+    "train.lr": (1e-3, _bounded(_as_float, (lambda v: 0.0 < v < math.inf,
+                                            "a finite number > 0"))),
+    "train.epochs": (30, _bounded(_as_int, _AT_LEAST_1)),
+    "train.batch": (8, _bounded(_as_int, _AT_LEAST_1)),
+    "train.seed": (0, _bounded(_as_int, _SEED)),
+    "data.patch": (256, _bounded(_as_int, _AT_LEAST_1)),
+    "data.stride": (128, _bounded(_as_int, _AT_LEAST_1)),
+    "data.test_fraction": (0.2, _bounded(_as_float, (lambda v: 0.0 < v < 1.0, "in (0, 1)"))),
+    "norm.lo_db": (-25.0, _bounded(_as_float, _FINITE)),
+    "norm.hi_db": (5.0, _bounded(_as_float, _FINITE)),
 }
 
 
@@ -185,12 +165,12 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"--set needs KEY=VALUE, got {raw!r}")
         key, text = raw.split("=", 1)
         pairs.append((key.strip(), text.strip(), "--set"))
-    cfg = dict(DEFAULTS)
+    cfg = {key: default for key, (default, _) in CONFIG_KEYS.items()}
     for key, text, where in pairs:
-        if key not in CONFIG_SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         try:
-            cfg[key] = CONFIG_SCHEMA[key](key, text)
+            cfg[key] = CONFIG_KEYS[key][1](key, text)
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return cfg
@@ -214,7 +194,6 @@ def _quanv_config_from(cfg, spec):
 def _model_config_from(cfg, in_channels=None):
     return AttentionUNetConfig(
         in_channels=cfg["model.in_channels"] if in_channels is None else in_channels,
-        depth=cfg["model.depth"],
         widths=cfg["model.widths"],
     )
 
@@ -288,7 +267,10 @@ def cmd_make_patches(args) -> int:
     cfg = load_config(args.config, args.set)
     image = _read_raster(args.scene)
     if args.normalize_db:
-        image = normalize_db(image, cfg["norm.lo_db"], cfg["norm.hi_db"])
+        lo_db, hi_db = cfg["norm.lo_db"], cfg["norm.hi_db"]
+        if not lo_db < hi_db:
+            raise ConfigError(f"norm.lo_db must be < norm.hi_db, got {lo_db} and {hi_db}")
+        image = normalize_db(image, lo_db, hi_db)
     mask = (_read_raster(args.mask) >= 0.5).astype(np.float64)
     patches = extract_patches(image, mask, cfg["data.patch"], cfg["data.stride"])
     train_set, test_set = split(patches, cfg["data.test_fraction"], cfg["train.seed"])
@@ -305,11 +287,9 @@ def cmd_train(args) -> int:
         _ensure_parent_dir(args.log_out)
     train_set, _ = load_patch_dir(args.patches)
     quanv_config = None
-    circuit_text = None
     if args.quanvolve:
         spec = _circuit_from(cfg, args.circuit_in)
         quanv_config = _quanv_config_from(cfg, spec)
-        circuit_text = serialize_circuit(spec)
         if cfg["model.in_channels"] not in (1, spec.n_qubits):
             raise ConfigError(
                 f"model.in_channels={cfg['model.in_channels']} conflicts with "
@@ -327,7 +307,7 @@ def cmd_train(args) -> int:
         print(line)
     if args.log_out:
         write_atomic(args.log_out, ("\n".join(log_lines) + "\n").encode("ascii"))
-    save_checkpoint(args.checkpoint_out, model, quanv_config, circuit_text)
+    save_checkpoint(args.checkpoint_out, model, quanv_config)
     print(f"checkpoint: {args.checkpoint_out}.manifest "
           f"({model.n_params()} trainable parameters)")
     return 0

@@ -46,7 +46,8 @@ def tensor_to_bytes(array: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> np.ndarray:
-    """Parse one QVT1 record; offsets in errors are absolute in the file."""
+    """Parse the QVT1 record at the start of buf, ignoring any bytes after
+    it; offsets in errors are absolute in the file."""
     if len(buf) < 4 or buf[:4] != _MAGIC:
         raise FileFormatError("bad magic, expected b'QVT1'", offset=base_offset)
     if len(buf) < 6:
@@ -72,17 +73,6 @@ def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> np.ndarray:
         )
     data = np.frombuffer(buf[need:end], dtype=dtype).reshape(shape)
     return data.astype(dtype.newbyteorder("="))
-
-
-def tensor_record_size(buf: bytes, base_offset: int = 0) -> int:
-    """Byte length of the QVT1 record starting at buf[0]."""
-    arr_ndim = buf[5] if len(buf) >= 6 else 0
-    if len(buf) < 6 or not 1 <= arr_ndim <= 4:
-        # delegate to the full parser for a precise error
-        tensor_from_bytes(buf, base_offset)
-    shape = struct.unpack(f"<{arr_ndim}I", buf[6 : 6 + 4 * arr_ndim])
-    itemsize = _DTYPE_CODES.get(buf[4], np.dtype("<f8")).itemsize
-    return 6 + 4 * arr_ndim + int(np.prod(shape)) * itemsize
 
 
 def write_atomic(path, data: bytes):

@@ -10,9 +10,11 @@ offset i*Wp + j, so the taps become GEMMs over shifted views and no
 patch matrix is built.  The GEMMs run one tile of whole padded images at
 a time, and each tile writes its cropped window straight into the NCHW
 result, so no temporary spans the whole layer; the forward and the
-backward's input gradient share this loop.  A 1x1 kernel at stride 1
-without padding skips the raster: it is one batched GEMM per image on
-the NCHW arrays, with no copy or transpose.
+backward's input gradient share this loop.  Every conv is a stride-1
+'same' conv with a bias, as the U-Net uses it: an odd square kernel k
+pads k // 2 zeros on each side.  A 1x1 kernel skips the raster: it is
+one batched GEMM per image on the NCHW arrays, with no copy or
+transpose.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ import numpy as np
 
 from ..exceptions import ShapeError
 
+
+# Batch norm's running-statistics blend weight and variance offset.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 # Columns of raster one conv tile covers, as whole padded images (at
 # least one), so a tile's shifted rows and its GEMM outputs stay small.
@@ -83,55 +89,54 @@ def _batched_matmul(a, b):
     return a * b if a.shape[1] == 1 else np.matmul(a, b)
 
 
-def _is_pointwise(w, stride, padding):
-    return w.shape[2:] == (1, 1) and stride == 1 and padding == 0
-
-
-def conv2d_forward(x, w, b=None, stride: int = 1, padding: int = 0):
-    """Cross-correlate (N, C_in, H, W) with (C_out, C_in, kH, kW) + bias.
-
-    Stride > 1 subsamples the stride-1 result.
-    """
+def _same_padding(x, w, b):
+    """Check conv2d's operands; returns the 'same' padding k // 2."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d shapes disagree: input {x.shape}, kernel {w.shape}")
-    c_out, c_in, kh, kw = w.shape
-    if b is not None and b.shape != (c_out,):
+    c_out, _, kh, kw = w.shape
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd square kernel, got {kh}x{kw}")
+    if b.shape != (c_out,):
         raise ShapeError(f"bias shape {b.shape} != ({c_out},)")
+    return kh // 2
+
+
+def conv2d_forward(x, w, b):
+    """Cross-correlate (N, C_in, H, W) with (C_out, C_in, k, k), plus the
+    bias, at stride 1 with 'same' zero padding: the output is (N, C_out,
+    H, W)."""
+    padding = _same_padding(x, w, b)
+    c_out, c_in, kh, kw = w.shape
     n, _, h, wd = x.shape
-    if _is_pointwise(w, stride, padding):
+    if kh == 1:
         out = _batched_matmul(w.reshape(c_out, c_in), x.reshape(n, c_in, h * wd))
-        if b is not None:
-            out = np.add(out, b[:, None], out=out if out.dtype == np.result_type(out, b) else None)
-        return out.reshape(n, c_out, h, wd), (x, x.shape, w, b is not None, stride, padding)
+        out = np.add(out, b[:, None], out=out if out.dtype == np.result_type(out, b) else None)
+        return out.reshape(n, c_out, h, wd), (x, x.shape, w)
     hp, wp = h + 2 * padding, wd + 2 * padding
-    if kh > hp or kw > wp:
-        raise ShapeError(f"kernel {kh}x{kw} exceeds padded input {(hp, wp)}")
     length = n * hp * wp
     # Zero columns past `length` let every tap read `length` columns; the
     # outputs they reach lie outside the valid window and are cropped.
     xf = np.zeros((c_in, length + (kh - 1) * wp + kw - 1), dtype=x.dtype)
     xf[:, :length].reshape(c_in, n, hp, wp)[
         :, :, padding : padding + h, padding : padding + wd] = x.transpose(1, 0, 2, 3)
-    h_out, w_out = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    dtype = np.result_type(w, x) if b is None else np.result_type(w, x, b)
-    out = np.empty((n, c_out, h_out, w_out), dtype=dtype)
-    _correlate_into(out, xf, w, (hp, wp),
-                    (slice(0, hp - kh + 1, stride), slice(0, wp - kw + 1, stride)), b)
-    return out, (xf, x.shape, w, b is not None, stride, padding)
+    out = np.empty((n, c_out, h, wd), dtype=np.result_type(w, x, b))
+    _correlate_into(out, xf, w, (hp, wp), (slice(0, h), slice(0, wd)), b)
+    return out, (xf, x.shape, w)
 
 
 def conv2d_backward(cache, gy):
-    """Returns (gx, gw, gb); gb is None when the forward had no bias."""
-    xf, x_shape, w, has_b, stride, padding = cache
+    """Returns (gx, gw, gb)."""
+    xf, x_shape, w = cache
     n, c_in, h, wd = x_shape
     c_out, _, kh, kw = w.shape
-    gb = gy.sum(axis=(0, 2, 3)) if has_b else None
-    if _is_pointwise(w, stride, padding):
+    gb = gy.sum(axis=(0, 2, 3))
+    if kh == 1:
         # xf is the NCHW input itself
         g = gy.reshape(n, c_out, h * wd)
         gx = _batched_matmul(w.reshape(c_out, c_in).T, g)
         gw = np.matmul(g, xf.reshape(n, c_in, h * wd).transpose(0, 2, 1)).sum(axis=0)
         return gx.reshape(x_shape), gw.reshape(w.shape), gb
+    padding = kh // 2
     hp, wp = h + 2 * padding, wd + 2 * padding
     length = n * hp * wp
     reach = (kh - 1) * wp + kw - 1
@@ -140,8 +145,7 @@ def conv2d_backward(cache, gy):
     # the flipped, transposed kernel.
     gpad = np.zeros((c_out, reach + length), dtype=gy.dtype)
     g = gpad[:, reach:]
-    g.reshape(c_out, n, hp, wp)[
-        :, :, : hp - kh + 1 : stride, : wp - kw + 1 : stride] = gy.transpose(1, 0, 2, 3)
+    g.reshape(c_out, n, hp, wp)[:, :, :h, :wd] = gy.transpose(1, 0, 2, 3)
     g_t = g.T.copy()
     gw = np.empty((kh, kw, c_in, c_out), dtype=np.result_type(gy, xf))
     for i in range(kh):
@@ -231,7 +235,7 @@ def nearest_upsample2x_backward(cache, gy):
     return gy.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
 
 
-def transposed_conv2x_forward(x, w, b=None):
+def transposed_conv2x_forward(x, w, b):
     """2x2 stride-2 transposed convolution; w shaped (C_in, C_out, 2, 2).
 
     The stride equals the kernel so output blocks never overlap:
@@ -241,24 +245,21 @@ def transposed_conv2x_forward(x, w, b=None):
         raise ShapeError(f"transposed_conv2x shapes disagree: input {x.shape}, kernel {w.shape}")
     n, _, h, wd = x.shape
     c_out = w.shape[1]
-    if b is not None and b.shape != (c_out,):
+    if b.shape != (c_out,):
         raise ShapeError(f"bias shape {b.shape} != ({c_out},)")
     out = np.einsum("nchw,cokl->nohkwl", x, w, optimize=True)
     out = np.ascontiguousarray(out).reshape(n, c_out, 2 * h, 2 * wd)
-    if b is not None:
-        out = out + b[None, :, None, None]
-    return out, (x, w, b is not None)
+    return out + b[None, :, None, None], (x, w)
 
 
 def transposed_conv2x_backward(cache, gy):
-    x, w, has_b = cache
+    x, w = cache
     n, _, h, wd = x.shape
     c_out = w.shape[1]
     g6 = gy.reshape(n, c_out, h, 2, wd, 2)
     gx = np.einsum("nohkwl,cokl->nchw", g6, w, optimize=True)
     gw = np.einsum("nohkwl,nchw->cokl", g6, x, optimize=True)
-    gb = gy.sum(axis=(0, 2, 3)) if has_b else None
-    return np.ascontiguousarray(gx), np.ascontiguousarray(gw), gb
+    return np.ascontiguousarray(gx), np.ascontiguousarray(gw), gy.sum(axis=(0, 2, 3))
 
 
 def concat_channels_forward(a, b):
@@ -309,8 +310,7 @@ def mul_backward(cache, gy):
     return _unbroadcast(gy * b, a.shape), _unbroadcast(gy * a, b.shape)
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, train: bool,
-                      momentum: float = 0.1, eps: float = 1e-5):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, train: bool):
     """Per-channel batch norm over the batch and spatial axes.
 
     Returns (out, new_running_mean, new_running_var, cache).  Train mode
@@ -331,13 +331,13 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, train: bool,
         mean = x3.sum(axis=2).sum(axis=0) / m
         xhat = x3 - mean[:, None]
         var = np.einsum("nci,nci->c", xhat, xhat) / m
-        new_mean = (1.0 - momentum) * running_mean + momentum * mean
-        new_var = (1.0 - momentum) * running_var + momentum * var
+        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     else:
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
         xhat = x3 - mean[:, None]
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= ivar[:, None]
     out = xhat * gamma[:, None]
     out += beta[:, None]

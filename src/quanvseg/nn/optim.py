@@ -9,21 +9,24 @@ import numpy as np
 from ..exceptions import ShapeError
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba,
+# arXiv:1412.6980); the learning rate is the one setting a run varies.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(params: dict, lr: float = 1e-3) -> AdamState:
     return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+        lr=lr,
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
     )
@@ -36,8 +39,8 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     Returns (params, state) for call-site convenience.
     """
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -46,9 +49,9 @@ def adam_step(params: dict, grads: dict, state: AdamState):
             raise ShapeError(f"gradient {name} shape {g.shape} != param {p.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params, state

@@ -81,7 +81,6 @@ class FeatureStack:
     """Multi-channel output of quanvolve: one channel per measured qubit."""
 
     data: np.ndarray  # (channels, height, width)
-    rescaled: bool
 
     @property
     def channels(self) -> int:
@@ -147,4 +146,4 @@ def quanvolve(image, config: QuanvConfig) -> FeatureStack:
         z *= 0.5
     # z is (N, n), a transposed view of (n, N), so this reshape is a view.
     stack = z.T.reshape(config.n_qubits, n_h, n_w)
-    return FeatureStack(data=stack, rescaled=config.rescale)
+    return FeatureStack(data=stack)

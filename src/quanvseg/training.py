@@ -13,6 +13,8 @@ from .nn import adam_step, bce_loss, confusion_counts, init_adam
 from .unet import AttentionUNet
 
 LOG_HEADER = "epoch\tloss\ttrain_oa"
+# Patches per inference forward in evaluate and predict_masks.
+EVAL_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,14 @@ def train(model: AttentionUNet, patchset: PatchSet, config: TrainConfig,
     return model, lines
 
 
-def evaluate(model: AttentionUNet, patchset: PatchSet,
-             batch_size: int = 8) -> EvalResult:
+def evaluate(model: AttentionUNet, patchset: PatchSet) -> EvalResult:
     """Threshold at 0.5 and micro-average pixel counts over the split."""
     x_all, t_all = stack_patches(patchset, model.config.in_channels, model.dtype)
     n = x_all.shape[0]
     rows = []
     agg = np.zeros(4, dtype=np.int64)
-    for lo in range(0, n, batch_size):
-        out, _ = model.forward(x_all[lo : lo + batch_size], train=False)
+    for lo in range(0, n, EVAL_BATCH):
+        out, _ = model.forward(x_all[lo : lo + EVAL_BATCH], train=False)
         for j in range(out.shape[0]):
             tp, fp, fn, tn = confusion_counts(out[j], t_all[lo + j])
             agg += (tp, fp, fn, tn)
@@ -118,12 +119,11 @@ def evaluate(model: AttentionUNet, patchset: PatchSet,
     )
 
 
-def predict_masks(model: AttentionUNet, patchset: PatchSet,
-                  batch_size: int = 8) -> np.ndarray:
+def predict_masks(model: AttentionUNet, patchset: PatchSet) -> np.ndarray:
     """Binary masks (N, H, W) for every patch in the set."""
     x_all, _ = stack_patches(patchset, model.config.in_channels, model.dtype)
     masks = []
-    for lo in range(0, x_all.shape[0], batch_size):
-        out, _ = model.forward(x_all[lo : lo + batch_size], train=False)
+    for lo in range(0, x_all.shape[0], EVAL_BATCH):
+        out, _ = model.forward(x_all[lo : lo + EVAL_BATCH], train=False)
         masks.append(out[:, 0] >= 0.5)
     return np.concatenate(masks).astype(np.float64)

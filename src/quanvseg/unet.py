@@ -34,40 +34,31 @@ UPSAMPLE_KINDS = ("transposed", "nearest")
 
 @dataclass(frozen=True)
 class AttentionUNetConfig:
+    """widths holds one channel count per level, encoder to bottleneck."""
+
     in_channels: int = 1
-    depth: int = 3
     widths: tuple[int, ...] = (8, 16, 32)
-    gate_widths: tuple[int, ...] | None = None  # default: half of each skip width
     upsample: str = "transposed"
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if self.depth < 2:
-            raise ConfigError(f"depth must be >= 2, got {self.depth}")
-        if len(self.widths) != self.depth:
-            raise ConfigError(
-                f"widths {self.widths} must have length depth={self.depth}"
-            )
+        if len(self.widths) < 2:
+            raise ConfigError(f"widths needs at least 2 entries, got {self.widths}")
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must all be >= 1, got {self.widths}")
         if self.in_channels < 1:
             raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.upsample not in UPSAMPLE_KINDS:
             raise ConfigError(f"upsample must be one of {UPSAMPLE_KINDS}")
-        if self.gate_widths is not None:
-            object.__setattr__(
-                self, "gate_widths", tuple(int(w) for w in self.gate_widths)
-            )
-            if len(self.gate_widths) != self.depth - 1:
-                raise ConfigError(
-                    f"gate_widths needs one entry per skip ({self.depth - 1})"
-                )
-            if any(w < 1 for w in self.gate_widths):
-                raise ConfigError(f"gate_widths must all be >= 1, got {self.gate_widths}")
 
-    def resolved_gate_widths(self) -> tuple[int, ...]:
-        if self.gate_widths is not None:
-            return self.gate_widths
+    @property
+    def depth(self) -> int:
+        """Levels, the bottleneck included: one per width."""
+        return len(self.widths)
+
+    @property
+    def gate_widths(self) -> tuple[int, ...]:
+        """Each skip's attention-gate width: half the skip's, at least 1."""
         return tuple(max(1, w // 2) for w in self.widths[:-1])
 
 
@@ -76,10 +67,10 @@ class AttentionUNetConfig:
 # Nearest+conv upsampling is what lands the baseline inside the 5% band;
 # see count_params and the tests pinning both totals.
 BASELINE_REFERENCE_CONFIG = AttentionUNetConfig(
-    in_channels=1, depth=5, widths=(64, 128, 256, 512, 1024), upsample="nearest"
+    in_channels=1, widths=(64, 128, 256, 512, 1024), upsample="nearest"
 )
 QUANTUM_REFERENCE_CONFIG = AttentionUNetConfig(
-    in_channels=9, depth=5, widths=(16, 32, 64, 128, 256), upsample="nearest"
+    in_channels=9, widths=(16, 32, 64, 128, 256), upsample="nearest"
 )
 
 
@@ -162,11 +153,11 @@ class Tape:
         self.entries.append((backward, cache, tuple(slots), tuple(names)))
         return self.n_inputs + len(self.entries) - 1
 
-    def run(self, op, *inputs, params=(), **kwargs):
+    def run(self, op, *inputs, params=()):
         """ops.<op>_forward on the (value, slot) inputs, then the named
         parameters; returns (output, slot)."""
         out, cache = getattr(ops, f"{op}_forward")(
-            *(value for value, _ in inputs), *(self.params[n] for n in params), **kwargs)
+            *(value for value, _ in inputs), *(self.params[n] for n in params))
         return out, self.record(getattr(ops, f"{op}_backward"), cache,
                                 (slot for _, slot in inputs), params)
 
@@ -266,7 +257,7 @@ class AttentionUNet:
         return sum(int(p.size) for p in self.params.values())
 
     def _conv_bn_relu(self, tape, h, stages, train):
-        """3x3 conv (pad 1) -> batch norm -> ReLU once per (conv, bn) name
+        """3x3 conv -> batch norm -> ReLU once per (conv, bn) name
         prefix pair in stages, on the tape; returns (h, slot).
 
         Train mode refreshes the running statistics.  h is rebound stage by
@@ -274,7 +265,7 @@ class AttentionUNet:
         freed as soon as the next conv has read it, which bounds peak memory.
         """
         for conv, bn in stages:
-            h = tape.run("conv2d", h, params=(f"{conv}.w", f"{conv}.b"), padding=1)
+            h = tape.run("conv2d", h, params=(f"{conv}.w", f"{conv}.b"))
             h = tape.batchnorm(h, self.stats, bn, train)
             h = tape.run("relu", h)
         return h
@@ -347,7 +338,7 @@ def parameter_shapes(config: AttentionUNetConfig):
         yield from _bn_shapes(f"{prefix}.bn2", c_out)
 
     w = config.widths
-    gate_w = config.resolved_gate_widths()
+    gate_w = config.gate_widths
     prev = config.in_channels
     for i in range(config.depth - 1):
         yield from dconv(f"enc{i}", prev, w[i])
@@ -422,7 +413,7 @@ def gradcheck_suite(seed: int = 0):
     w3 = rng.normal(size=(4, 3, 3, 3))
     b3 = rng.normal(size=4)
     weighted("conv3x3-pad1", 1e-4, [x, w3, b3],
-             lambda: ops.conv2d_forward(x, w3, b3, padding=1),
+             lambda: ops.conv2d_forward(x, w3, b3),
              ops.conv2d_backward)
 
     # relu: keep probes away from the kink at 0
@@ -512,8 +503,7 @@ def gradcheck_suite(seed: int = 0):
 
     # toy end-to-end models, one per upsample kind
     for kind_index, kind in enumerate(UPSAMPLE_KINDS):
-        cfg = AttentionUNetConfig(in_channels=2, depth=2, widths=(3, 5),
-                                  upsample=kind)
+        cfg = AttentionUNetConfig(in_channels=2, widths=(3, 5), upsample=kind)
         model = build_model(cfg, seed=seed, dtype=np.float64)
         xm = rng.normal(size=(1, 2, 8, 8))
         rm = rng.normal(size=(1, 1, 8, 8))

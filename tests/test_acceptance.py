@@ -149,10 +149,10 @@ def test_05_parameter_count_calibration():
     probe_configs = [
         BASELINE_REFERENCE_CONFIG,
         QUANTUM_REFERENCE_CONFIG,
-        AttentionUNetConfig(depth=2, widths=(4, 8)),
-        AttentionUNetConfig(depth=3, widths=(8, 16, 32)),
-        AttentionUNetConfig(depth=3, widths=(4, 8, 16), in_channels=9),
-        AttentionUNetConfig(depth=4, widths=(8, 16, 32, 64), upsample="nearest"),
+        AttentionUNetConfig(widths=(4, 8)),
+        AttentionUNetConfig(widths=(8, 16, 32)),
+        AttentionUNetConfig(widths=(4, 8, 16), in_channels=9),
+        AttentionUNetConfig(widths=(8, 16, 32, 64), upsample="nearest"),
     ]
     for cfg in probe_configs:
         assert count_params(cfg) == enumerate_total(cfg)
@@ -175,7 +175,7 @@ def test_06_desk_scale_parity_with_fewer_parameters():
     train_set, test_set = split(corpus, test_fraction=0.2, seed=0)
 
     baseline = build_model(
-        AttentionUNetConfig(in_channels=1, depth=3, widths=(8, 16, 32)), seed=0
+        AttentionUNetConfig(in_channels=1, widths=(8, 16, 32)), seed=0
     )
     hyper = TrainConfig(lr=1e-3, epochs=30, batch_size=8)
     train(baseline, train_set, hyper, seed=0)
@@ -194,7 +194,7 @@ def test_06_desk_scale_parity_with_fewer_parameters():
         return PatchSet(items=converted)
 
     quantum = build_model(
-        AttentionUNetConfig(in_channels=9, depth=3, widths=(4, 8, 16)), seed=0
+        AttentionUNetConfig(in_channels=9, widths=(4, 8, 16)), seed=0
     )
     train(quantum, quanvolved(train_set), hyper, seed=0)
     quantum_oa = evaluate(quantum, quanvolved(test_set)).oa

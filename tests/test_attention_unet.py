@@ -181,29 +181,23 @@ def test_gate_gradcheck_randomized_shapes(seed):
 
 
 def test_config_validation():
+    with pytest.raises(ConfigError, match="at least 2 entries"):
+        AttentionUNetConfig(widths=(4,))
     with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=1, widths=(4,))
+        AttentionUNetConfig(widths=(4, 0))
     with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=3, widths=(4, 8))
+        AttentionUNetConfig(widths=(4, 8), in_channels=0)
     with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=2, widths=(4, 0))
-    with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=0)
-    with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=2, widths=(4, 8), upsample="bilinear")
-    with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=3, widths=(4, 8, 16), gate_widths=(2,))
-    with pytest.raises(ConfigError):
-        AttentionUNetConfig(depth=2, widths=(4, 8), gate_widths=(0,))
+        AttentionUNetConfig(widths=(4, 8), upsample="bilinear")
 
 
 def test_default_gate_widths_are_half_skip_widths():
-    cfg = AttentionUNetConfig(depth=3, widths=(8, 16, 32))
-    assert cfg.resolved_gate_widths() == (4, 8)
-    narrow = AttentionUNetConfig(depth=2, widths=(1, 2))
-    assert narrow.resolved_gate_widths() == (1,)
-    explicit = AttentionUNetConfig(depth=3, widths=(8, 16, 32), gate_widths=(3, 5))
-    assert explicit.resolved_gate_widths() == (3, 5)
+    cfg = AttentionUNetConfig(widths=(8, 16, 32))
+    assert cfg.depth == 3
+    assert cfg.gate_widths == (4, 8)
+    narrow = AttentionUNetConfig(widths=(1, 2))
+    assert narrow.depth == 2
+    assert narrow.gate_widths == (1,)
 
 
 def enumerated_param_total(cfg):
@@ -212,12 +206,12 @@ def enumerated_param_total(cfg):
 
 
 @pytest.mark.parametrize("cfg", [
-    AttentionUNetConfig(depth=2, widths=(4, 8)),
-    AttentionUNetConfig(depth=2, widths=(4, 8), upsample="nearest"),
-    AttentionUNetConfig(depth=3, widths=(8, 16, 32)),
-    AttentionUNetConfig(depth=3, widths=(4, 8, 16), in_channels=9),
-    AttentionUNetConfig(depth=3, widths=(8, 16, 32), gate_widths=(3, 7)),
-    AttentionUNetConfig(depth=4, widths=(4, 8, 16, 32), upsample="nearest"),
+    AttentionUNetConfig(widths=(4, 8)),
+    AttentionUNetConfig(widths=(4, 8), upsample="nearest"),
+    AttentionUNetConfig(widths=(8, 16, 32)),
+    AttentionUNetConfig(widths=(4, 8, 16), in_channels=9),
+    AttentionUNetConfig(widths=(1, 3, 5)),
+    AttentionUNetConfig(widths=(4, 8, 16, 32), upsample="nearest"),
 ])
 def test_count_params_matches_enumeration_and_model(cfg):
     expected = enumerated_param_total(cfg)
@@ -226,21 +220,21 @@ def test_count_params_matches_enumeration_and_model(cfg):
 
 
 def test_depth2_count_matches_hand_sum():
-    # depth=2, widths=[4,8], in=1, transposed upsampling, gate width 2:
+    # widths=[4,8], in=1, transposed upsampling, gate width 2:
     #   enc0  : 1*4*9+4 + 8 + 4*4*9+4 + 8            = 204
     #   bottl : 4*8*9+8 + 16 + 8*8*9+8 + 16          = 912
     #   up    : 8*4*4+4                               = 132
     #   gate  : (2*4+2)*2 + 4 + 2+1                   = 27
     #   dec0  : 8*4*9+4 + 8 + 4*4*9+4 + 8            = 456
     #   head  : 4+1                                   = 5
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8))
+    cfg = AttentionUNetConfig(widths=(4, 8))
     assert count_params(cfg) == 204 + 912 + 132 + 27 + 456 + 5
 
 
 def test_depth2_nearest_count_matches_hand_sum():
     # as above, but the upsampling is nearest x2 then conv3x3 + batch norm:
     #   up    : 8*4*9+4 + 8                           = 300
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8), upsample="nearest")
+    cfg = AttentionUNetConfig(widths=(4, 8), upsample="nearest")
     assert count_params(cfg) == 204 + 912 + 300 + 27 + 456 + 5
 
 
@@ -256,7 +250,7 @@ def test_reference_configs_hit_target_budgets():
 
 
 def test_build_model_is_seeded():
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8))
+    cfg = AttentionUNetConfig(widths=(4, 8))
     a = build_model(cfg, seed=7)
     b = build_model(cfg, seed=7)
     c = build_model(cfg, seed=8)
@@ -276,8 +270,6 @@ INIT_DIGESTS = {
                 "220c3afc6b99dca2ebca216eceb415777c3cff2a26211c073e7c46dbde81b892"),
     "nine-channel": (AttentionUNetConfig(in_channels=9),
                      "bff22cc517c2d008425b034477db71bf1e82eb5fad6d3ef3968cac861614a62b"),
-    "gate-widths": (AttentionUNetConfig(gate_widths=(3, 5)),
-                    "f511df9f14f20bfd08f5509f9788dfa82509ed60cc4f3ebe7be24da2c33f06cf"),
 }
 
 
@@ -418,7 +410,7 @@ def test_eval_output_of_an_image_holds_alone_and_in_a_batch(kind):
 
 
 def test_parameter_shapes_align_with_built_model():
-    cfg = AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample="nearest")
+    cfg = AttentionUNetConfig(widths=(4, 8, 16), upsample="nearest")
     model = build_model(cfg)
     declared = {name: (kind, shape) for kind, name, shape in parameter_shapes(cfg)}
     actual = {name: ("param", p.shape) for name, p in model.params.items()}
@@ -432,7 +424,7 @@ def test_parameter_shapes_align_with_built_model():
 
 @pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
 def test_forward_shapes_and_range(kind):
-    cfg = AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind)
+    cfg = AttentionUNetConfig(widths=(4, 8, 16), upsample=kind)
     model = build_model(cfg, seed=0)
     x = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
     out, _ = model.forward(x)
@@ -454,7 +446,7 @@ def test_forward_shapes_and_range(kind):
 
 def small_train_forward(kind, seed):
     """A small model built from seed, its train-mode tape and an upstream gradient."""
-    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind),
+    model = build_model(AttentionUNetConfig(widths=(4, 8, 16), upsample=kind),
                         seed=seed)
     rng = np.random.default_rng(2)
     out, tape = model.forward(rng.uniform(size=(2, 1, 16, 16)), train=True)
@@ -484,13 +476,13 @@ def test_backward_is_repeatable_from_the_same_parameters(kind):
 
 
 def test_backward_rejects_foreign_tape():
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    model = build_model(AttentionUNetConfig(widths=(4, 8)))
     gy = np.zeros((1, 1, 8, 8))
     with pytest.raises(StateError):
         model.backward({}, gy)
     with pytest.raises(StateError):
         model.backward("nonsense", gy)
-    other = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    other = build_model(AttentionUNetConfig(widths=(4, 8)))
     _, tape = other.forward(np.zeros((1, 1, 8, 8)))
     with pytest.raises(StateError):
         model.backward(tape, gy)
@@ -498,7 +490,7 @@ def test_backward_rejects_foreign_tape():
 
 @pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
 def test_inference_tape_keeps_no_entries(kind, monkeypatch):
-    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16), upsample=kind))
+    model = build_model(AttentionUNetConfig(widths=(4, 8, 16), upsample=kind))
     gate_tapes = []
     gate = unet._attention_gate
 
@@ -513,7 +505,7 @@ def test_inference_tape_keeps_no_entries(kind, monkeypatch):
 
 
 def test_backward_rejects_inference_tape():
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    model = build_model(AttentionUNetConfig(widths=(4, 8)))
     out, tape = model.forward(np.zeros((1, 1, 8, 8)), train=False)
     with pytest.raises(StateError, match=r"train=False.*train=True"):
         model.backward(tape, np.ones_like(out))
@@ -526,7 +518,7 @@ def test_inference_forward_peaks_well_below_train_forward(traced_peak):
     the inference forward frees each as its op returns (8.30 MiB).  A tape
     that kept inference caches would peak like the train forward.
     """
-    model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+    model = build_model(AttentionUNetConfig(widths=(8, 16, 32)), seed=0)
     x = np.random.default_rng(0).uniform(size=(8, 1, 64, 64)).astype(np.float32)
     train_peak = traced_peak(lambda: model.forward(x, train=True))
     eval_peak = traced_peak(lambda: model.forward(x, train=False))
@@ -540,7 +532,7 @@ def test_train_holds_one_tape_at_a_time(traced_peak):
     tapes at once, and three batches then peaked at 57.9 MiB.
     """
     def peak(n_patches):
-        model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+        model = build_model(AttentionUNetConfig(widths=(8, 16, 32)), seed=0)
         patches = toy_patches(n=n_patches, size=64)
         return traced_peak(lambda: train(model, patches, TrainConfig(epochs=1, batch_size=8)))
 
@@ -550,7 +542,7 @@ def test_train_holds_one_tape_at_a_time(traced_peak):
 
 def desk_step_inputs():
     """The desk model (widths 8,16,32), a batch of 8 64x64 inputs and targets."""
-    model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+    model = build_model(AttentionUNetConfig(widths=(8, 16, 32)), seed=0)
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(8, 1, 64, 64)).astype(np.float32)
     return model, x, (rng.uniform(size=(8, 1, 64, 64)) > 0.7).astype(np.float32)
@@ -572,7 +564,7 @@ def test_desk_train_step_peaks_below_the_buffers_it_no_longer_holds(traced_peak)
     def values(channels, level):
         return n * channels * (size >> level) ** 2
 
-    gate_values = sum(values(c, i) for i, c in enumerate(cfg.resolved_gate_widths()))
+    gate_values = sum(values(c, i) for i, c in enumerate(cfg.gate_widths))
     # two ReLUs per double conv (encoders, bottleneck, decoders), one per gate
     relu_values = 2 * sum(values(w, i) for i, w in enumerate(cfg.widths)) \
         + 2 * sum(values(w, i) for i, w in enumerate(cfg.widths[:-1])) + gate_values
@@ -612,14 +604,14 @@ def test_backward_rises_less_than_its_largest_input_gradient():
 
 
 def test_forward_accepts_nine_channel_input():
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=9)
+    cfg = AttentionUNetConfig(widths=(4, 8), in_channels=9)
     model = build_model(cfg, seed=1)
     out, _ = model.forward(np.random.default_rng(1).uniform(size=(2, 9, 16, 16)))
     assert out.shape == (2, 1, 16, 16)
 
 
 def test_forward_rejects_bad_inputs():
-    model = build_model(AttentionUNetConfig(depth=3, widths=(4, 8, 16)))
+    model = build_model(AttentionUNetConfig(widths=(4, 8, 16)))
     with pytest.raises(ShapeError):
         model.forward(np.zeros((1, 2, 16, 16)))  # wrong channel count
     with pytest.raises(ShapeError):
@@ -629,7 +621,7 @@ def test_forward_rejects_bad_inputs():
 
 
 def test_forward_eval_mode_ignores_batch_composition():
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8))
+    cfg = AttentionUNetConfig(widths=(4, 8))
     model = build_model(cfg, seed=2)
     rng = np.random.default_rng(3)
     a = rng.uniform(size=(1, 1, 16, 16))
@@ -645,7 +637,7 @@ def test_forward_eval_mode_ignores_batch_composition():
 
 def test_train_zero_lr_keeps_params_and_logs():
     patches = toy_patches()
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)), seed=0)
+    model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=0)
     before = {k: v.copy() for k, v in model.params.items()}
     _, lines = train(model, patches, TrainConfig(lr=0.0, epochs=1, batch_size=2))
     assert lines[0] == LOG_HEADER
@@ -656,7 +648,7 @@ def test_train_zero_lr_keeps_params_and_logs():
 
 def test_train_is_deterministic():
     def run():
-        model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)), seed=4)
+        model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=4)
         _, lines = train(model, toy_patches(), TrainConfig(lr=1e-3, epochs=3,
                                                            batch_size=2), seed=11)
         return model, lines
@@ -670,7 +662,7 @@ def test_train_is_deterministic():
 
 def test_train_overfits_four_patches():
     patches = toy_patches(n=4)
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)), seed=0)
+    model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=0)
     _, lines = train(model, patches, TrainConfig(lr=1e-2, epochs=200,
                                                  batch_size=4), seed=0)
     final_oa = float(lines[-1].split("\t")[2])
@@ -695,7 +687,7 @@ def test_warm_train_step_and_forward_fault_in_no_fresh_pages():
     none in another.  With the policy set at import, both take a handful.
     """
     assert _heap.RETAINED
-    model = build_model(AttentionUNetConfig(depth=3, widths=(8, 16, 32)), seed=0)
+    model = build_model(AttentionUNetConfig(widths=(8, 16, 32)), seed=0)
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(8, 1, 64, 64)).astype(np.float32)
     t = (rng.uniform(size=(8, 1, 64, 64)) > 0.7).astype(np.float32)
@@ -718,7 +710,7 @@ def test_warm_train_step_and_forward_fault_in_no_fresh_pages():
 
 
 def test_train_rejects_empty_split():
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    model = build_model(AttentionUNetConfig(widths=(4, 8)))
     with pytest.raises(DataError):
         train(model, PatchSet(), TrainConfig(epochs=1))
     with pytest.raises(DataError):
@@ -726,13 +718,13 @@ def test_train_rejects_empty_split():
 
 
 def test_train_rejects_channel_mismatch():
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=9))
+    model = build_model(AttentionUNetConfig(widths=(4, 8), in_channels=9))
     with pytest.raises(ShapeError):
         train(model, toy_patches(), TrainConfig(epochs=1))
 
 
 def forced_bias_model(bias):
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)), seed=5)
+    model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=5)
     model.params["head.w"][...] = 0.0
     model.params["head.b"][...] = bias
     return model
@@ -748,7 +740,7 @@ def test_evaluate_forced_negative_model_scores_background_fraction():
 
 def test_evaluate_micro_average_equals_concatenated_pixels():
     patches = toy_patches(n=6, seed=3)
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)), seed=6)
+    model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=6)
     train(model, patches, TrainConfig(lr=1e-3, epochs=2, batch_size=3))
     result = evaluate(model, patches)
     preds = predict_masks(model, patches)
@@ -771,19 +763,14 @@ def test_evaluate_rows_bound_the_aggregate():
 
 @pytest.mark.parametrize("kind", UPSAMPLE_KINDS)
 def test_checkpoint_round_trip(tmp_path, kind):
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8), upsample=kind)
+    cfg = AttentionUNetConfig(widths=(4, 8), upsample=kind)
     model = build_model(cfg, seed=12)
     train(model, toy_patches(), TrainConfig(lr=1e-3, epochs=1, batch_size=2))
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, model)
     loaded, quanv_config = load_checkpoint(prefix)
     assert quanv_config is None
-    # the manifest stores gate widths explicitly, so compare resolved values
-    assert loaded.config.in_channels == cfg.in_channels
-    assert loaded.config.depth == cfg.depth
-    assert loaded.config.widths == cfg.widths
-    assert loaded.config.upsample == cfg.upsample
-    assert loaded.config.resolved_gate_widths() == cfg.resolved_gate_widths()
+    assert loaded.config == cfg
     assert loaded.params.keys() == model.params.keys()
     for k in model.params:
         npt.assert_array_equal(loaded.params[k], model.params[k])
@@ -797,28 +784,30 @@ def test_checkpoint_carries_quanvolution_settings(tmp_path):
     spec = build_circuit("basic_entangled", 4, 1, seed=2)
     qcfg = QuanvConfig(circuit=spec, kernel_size=2, stride=1,
                        padding="same-reflect", rescale=True)
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8),
+    model = build_model(AttentionUNetConfig(widths=(4, 8),
                                             in_channels=4), seed=14)
     prefix = tmp_path / "qckpt"
-    save_checkpoint(prefix, model, quanv_config=qcfg,
-                    circuit_text=serialize_circuit(spec))
+    save_checkpoint(prefix, model, quanv_config=qcfg)
     _, loaded = load_checkpoint(prefix)
     assert loaded == qcfg
-    assert (tmp_path / "qckpt.circuit").exists()
+    assert (tmp_path / "qckpt.circuit").read_text() == serialize_circuit(spec)
 
 
 def test_checkpoint_quanv_requires_circuit(tmp_path):
+    # a quanvolved checkpoint cannot load without the circuit it names
     spec = build_circuit("basic_entangled", 4, 1, seed=2)
     qcfg = QuanvConfig(circuit=spec, kernel_size=2, stride=1,
                        padding="valid", rescale=True)
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8),
+    model = build_model(AttentionUNetConfig(widths=(4, 8),
                                             in_channels=4))
-    with pytest.raises(ValueError):
-        save_checkpoint(tmp_path / "bad", model, quanv_config=qcfg)
+    save_checkpoint(tmp_path / "bad", model, quanv_config=qcfg)
+    (tmp_path / "bad.circuit").unlink()
+    with pytest.raises(FileNotFoundError, match="bad.circuit"):
+        load_checkpoint(tmp_path / "bad")
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    model = build_model(AttentionUNetConfig(widths=(4, 8)))
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, model)
     manifest = (prefix.parent / "ckpt.manifest").read_text()
@@ -830,7 +819,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_missing_tensor(tmp_path):
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)))
+    model = build_model(AttentionUNetConfig(widths=(4, 8)))
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, model)
     lines = (prefix.parent / "ckpt.manifest").read_text().splitlines()
@@ -843,7 +832,7 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     import quanvseg.checkpoint as checkpoint
 
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8))
+    cfg = AttentionUNetConfig(widths=(4, 8))
     model = build_model(cfg, seed=1)
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, model)
@@ -874,7 +863,7 @@ def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(checkpoint.os, "replace", failing)
     with pytest.raises(OSError, match="replace refused"):
-        save_checkpoint(tmp_path / "ckpt", build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+        save_checkpoint(tmp_path / "ckpt", build_model(AttentionUNetConfig(widths=(4, 8))))
     assert list(tmp_path.iterdir()) == []
 
 

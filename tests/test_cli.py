@@ -12,13 +12,13 @@ import numpy.testing as npt
 import pytest
 
 from quanvseg.checkpoint import save_checkpoint
-from quanvseg.cli import DEFAULTS, build_parser, load_config, main
+from quanvseg.cli import CONFIG_KEYS, build_parser, load_config, main
 from quanvseg.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 from quanvseg.qsim.circuits import build_circuit, serialize_circuit
 from quanvseg.quanvolution import QuanvConfig
 from quanvseg.unet import AttentionUNetConfig, build_model, count_params
 
-FAST_MODEL = ["--set", "model.depth=2", "--set", "model.widths=4,8"]
+FAST_MODEL = ["--set", "model.widths=4,8"]
 FAST_TRAIN = ["--set", "train.epochs=2", "--set", "train.batch=4"]
 SMALL_GRID = ["--set", "data.patch=16", "--set", "data.stride=16"]
 
@@ -42,10 +42,20 @@ def workdir(tmp_path_factory):
 # Config handling
 
 
+def _as_text(value):
+    """A config value as a config file would spell it."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def test_defaults_cover_every_key():
     cfg = load_config()
-    assert cfg == DEFAULTS
-    assert len(cfg) == 20
+    assert cfg.keys() == CONFIG_KEYS.keys()
+    assert len(cfg) == 19
+    # every default passes its own key's parser and bound
+    for key, (default, parse) in CONFIG_KEYS.items():
+        assert parse(key, _as_text(default)) == cfg[key] == default
     assert cfg["circuit.qubits"] == 9
     assert cfg["circuit.layers"] == 2
     assert cfg["quanv.kernel"] == 3
@@ -89,7 +99,7 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
 ])
 def test_config_file_errors_name_their_line_and_exit_2(tmp_path, capsys, line, message):
     config = tmp_path / "run.cfg"
-    config.write_text(f"model.depth = 2\n# comment\n{line}\n")
+    config.write_text(f"model.widths = 4,8\n# comment\n{line}\n")
     assert main(["param-count", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:3: ") and message in err
@@ -98,11 +108,11 @@ def test_config_file_errors_name_their_line_and_exit_2(tmp_path, capsys, line, m
 
 @pytest.mark.parametrize("override, message", [
     ("bogus.key=1", "unknown config key 'bogus.key'"),
-    ("model.depth=deep", "model.depth must be an integer, got 'deep'"),
+    ("model.widths=8", "model.widths must be at least 2 entries, all >= 1, got (8,)"),
 ])
 def test_set_errors_name_the_flag_and_exit_2(tmp_path, capsys, override, message):
     config = tmp_path / "run.cfg"
-    config.write_text("model.depth = 2\n")
+    config.write_text("model.widths = 4,8\n")
     assert main(["param-count", "--config", str(config), "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --set: ") and message in err
@@ -133,6 +143,9 @@ BAD_VALUE_RUNS = {
     "synth-data--looks=nan": ("synth-data", ["--looks", "nan"], "--looks"),
     "synth-data--seed=-1": ("synth-data", ["--seed", "-1"], "--seed"),
     "gradcheck--seed=-1": ("gradcheck", ["--seed", "-1"], "--seed"),
+    # each bound is valid alone; the window they make is inverted
+    "norm.lo_db=10": ("make-patches", ["--normalize-db", "--set", "norm.lo_db=10"],
+                      "norm.lo_db"),
 }
 
 
@@ -145,6 +158,8 @@ def test_out_of_range_value_exits_2(workdir, tmp_path, capsys, case):
                   "--checkpoint-out", str(tmp_path / "ck")] + FAST_MODEL,
         "synth-data": ["--scene-out", str(tmp_path / "s.pgm"),
                        "--mask-out", str(tmp_path / "m.pgm")],
+        "make-patches": ["--scene", workdir["scene"], "--mask", workdir["mask"],
+                         "--outdir", str(tmp_path / "p")],
         "gradcheck": [],
     }[command]
     assert main([command] + base + flags) == 2
@@ -166,7 +181,7 @@ def test_parser_is_reused_without_leaking_set_values(monkeypatch, capsys):
     default = capsys.readouterr().out
     assert main(["param-count"] + FAST_MODEL) == 0
     again = capsys.readouterr().out
-    expected = count_params(AttentionUNetConfig(depth=3, widths=(8, 16, 32)))
+    expected = count_params(AttentionUNetConfig(widths=(8, 16, 32)))
     assert default.split()[0] == str(expected)
     assert small == again != default
     # Subcommands are looked up per call, so a replaced one still runs.
@@ -286,7 +301,7 @@ def test_train_prints_param_count(workdir, capsys):
     out = capsys.readouterr().out
     match = re.search(r"checkpoint: .*\.manifest \((\d+) trainable parameters\)", out)
     assert match
-    cfg = AttentionUNetConfig(depth=2, widths=(4, 8))
+    cfg = AttentionUNetConfig(widths=(4, 8))
     assert int(match.group(1)) == build_model(cfg).n_params()
 
 
@@ -346,7 +361,7 @@ def test_eval_perfect_fixture_reports_unit_oa(tmp_path, capsys):
                  "--rects", "0", "--scene-out", scene, "--mask-out", mask]) == 0
     assert main(["make-patches", "--scene", scene, "--mask", mask,
                  "--outdir", patches] + SMALL_GRID) == 0
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8)), seed=0)
+    model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=0)
     model.params["head.w"][...] = 0.0
     model.params["head.b"][...] = -50.0
     save_checkpoint(str(tmp_path / "perfect"), model)
@@ -449,7 +464,8 @@ MANIFEST_DEFECTS = {
     "dims": (r"^param enc0\.conv1\.w 4,1,3,3 ", "param enc0.conv1.w 4,one,3,3 ", "line 8"),
     "in_channels": (r"^in_channels 1$", "in_channels 1.5", "line 2"),
     "depth": (r"^depth 2$", "depth two", "line 3"),
-    "depth-invalid": (r"^depth 2$", "depth 1", "depth must be >= 2"),
+    "depth-invalid": (r"^depth 2$", "depth 1",
+                      "line 3: depth 1 does not match widths (4, 8), which give 2"),
     "widths": (r"^widths 4,8$", "widths 4,x", "line 4"),
     "gate_widths": (r"^gate_widths 2$", "gate_widths 2,", "line 5"),
     "dtype": (r"^dtype float32$", "dtype floaty", "floaty"),
@@ -475,7 +491,7 @@ MANIFEST_DEFECTS = {
 def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     pattern, replacement, message = MANIFEST_DEFECTS[defect]
     prefix = str(tmp_path / "ckpt")
-    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(widths=(4, 8))))
     text = Path(prefix + ".manifest").read_text()
     broken, count = re.subn(pattern, replacement, text, count=1, flags=re.M)
     assert count == 1
@@ -488,12 +504,30 @@ def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     assert f"{prefix}.manifest" in err
 
 
+def test_manifest_offset_inside_a_record_exits_1(workdir, tmp_path, capsys):
+    # At 8 bytes before the end of .tensors, byte offset+5 (a header's
+    # ndim) reads 3 and only 2 bytes follow it; the parser must reject the
+    # missing magic there, not read 3 extents past the end.
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(widths=(4, 8))))
+    data = Path(prefix + ".tensors").read_bytes()
+    at = len(data) - 8
+    Path(prefix + ".tensors").write_bytes(data[:at] + bytes([0, 0, 0, 0, 0, 3, 0, 0]))
+    text = Path(prefix + ".manifest").read_text()
+    broken, count = re.subn(r"^(param head\.b \S+) \d+$", rf"\g<1> {at}", text,
+                            count=1, flags=re.M)
+    assert count == 1
+    Path(prefix + ".manifest").write_text(broken)
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    assert_located_error(capsys, code, 1, prefix + ".tensors", at)
+
+
 def quanv_checkpoint(prefix, seed=0):
     spec = build_circuit("basic_entangled", 4, 1, seed=2)
     qcfg = QuanvConfig(circuit=spec, kernel_size=2, stride=1,
                        padding="same-reflect", rescale=True)
-    model = build_model(AttentionUNetConfig(depth=2, widths=(4, 8), in_channels=4), seed=seed)
-    save_checkpoint(prefix, model, quanv_config=qcfg, circuit_text=serialize_circuit(spec))
+    model = build_model(AttentionUNetConfig(widths=(4, 8), in_channels=4), seed=seed)
+    save_checkpoint(prefix, model, quanv_config=qcfg)
 
 
 @pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
@@ -544,7 +578,7 @@ def test_non_ascii_index_exits_1(workdir, tmp_path, capsys):
 
 def test_non_ascii_manifest_exits_1(workdir, tmp_path, capsys):
     prefix = str(tmp_path / "ckpt")
-    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(widths=(4, 8))))
     at = insert_non_ascii(prefix + ".manifest")
     code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
     assert_located_error(capsys, code, 1, prefix + ".manifest", at)
@@ -651,7 +685,7 @@ def test_bad_quanvolve_input_names_file_exits_1(workdir, tmp_path, capsys, suffi
 
 def test_bad_checkpoint_tensors_names_file_exits_1(workdir, tmp_path, capsys):
     prefix = str(tmp_path / "ckpt")
-    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(widths=(4, 8))))
     corrupt_magic(prefix + ".tensors", b"QVX1")
     code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
     assert_located_error(capsys, code, 1, prefix + ".tensors", 0)
@@ -697,7 +731,7 @@ def test_save_cut_after_tensors_replace_exits_1(workdir, tmp_path, capsys, monke
 @pytest.mark.parametrize("edit", ["truncate", "flip-last-byte"])
 def test_tensors_not_matching_manifest_exit_1(workdir, tmp_path, capsys, edit):
     prefix = str(tmp_path / "ckpt")
-    save_checkpoint(prefix, build_model(AttentionUNetConfig(depth=2, widths=(4, 8))))
+    save_checkpoint(prefix, build_model(AttentionUNetConfig(widths=(4, 8))))
     data = Path(prefix + ".tensors").read_bytes()
     if edit == "truncate":
         data = data[:-1]
@@ -710,7 +744,7 @@ def test_tensors_not_matching_manifest_exit_1(workdir, tmp_path, capsys, edit):
 
 def test_non_ascii_config_exits_2(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("model.depth = 2\nmodel.widths = 4,8\n")
+    config.write_text("model.widths = 4,8\ntrain.epochs = 2\n")
     at = insert_non_ascii(config)
     code = main(["param-count", "--config", str(config)])
     assert_located_error(capsys, code, 2, config, at)
@@ -773,7 +807,7 @@ def test_param_count_reference_formats(capsys):
 def test_param_count_from_config(capsys):
     assert main(["param-count"] + FAST_MODEL) == 0
     out = capsys.readouterr().out.strip()
-    expected = build_model(AttentionUNetConfig(depth=2, widths=(4, 8))).n_params()
+    expected = build_model(AttentionUNetConfig(widths=(4, 8))).n_params()
     assert out == f"{expected} ({expected / 1e6:.1f}M)"
 
 

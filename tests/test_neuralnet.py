@@ -23,10 +23,11 @@ from quanvseg.unet import gradcheck_suite
 
 
 def test_conv_all_ones_3x3():
+    # 'same' padding: each output counts the input pixels its window covers
     x = np.ones((1, 1, 3, 3))
     w = np.ones((1, 1, 3, 3))
-    out, _ = ops.conv2d_forward(x, w)
-    npt.assert_allclose(out, np.full((1, 1, 1, 1), 9.0))
+    out, _ = ops.conv2d_forward(x, w, np.zeros(1))
+    npt.assert_allclose(out[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
 
 def test_conv_identity_1x1():
@@ -44,7 +45,7 @@ def test_conv_is_cross_correlation():
     x = np.zeros((1, 1, 3, 3))
     x[0, 0, 0, 0] = 1.0
     w = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-    out, _ = ops.conv2d_forward(x, w, padding=1)
+    out, _ = ops.conv2d_forward(x, w, np.zeros(1))
     # output[i,j] = sum_kl x[i+k-1, j+l-1] * w[k,l]; the pulse at (0,0)
     # appears weighted by w[1,1]=4 at (0,0), w[1,2]=5 at (0,-? ) etc.
     assert out[0, 0, 0, 0] == 4.0
@@ -52,64 +53,73 @@ def test_conv_is_cross_correlation():
     assert out[0, 0, 1, 0] == 1.0
 
 
-def test_conv_stride_and_padding_shapes():
-    x = np.zeros((1, 2, 8, 8))
-    w = np.zeros((4, 2, 3, 3))
-    out, _ = ops.conv2d_forward(x, w, stride=2, padding=1)
-    assert out.shape == (1, 4, 4, 4)
-
-
 def test_conv_rejects_channel_mismatch():
     with pytest.raises(ShapeError):
-        ops.conv2d_forward(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)))
+        ops.conv2d_forward(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)), np.zeros(2))
 
 
-def _conv_reference(x, w, b, stride, padding, gy):
-    """Direct loops over output pixels: (out, gx, gw, gb) of cross-correlation."""
+@pytest.mark.parametrize("kernel", [(2, 2), (4, 4), (3, 1), (2, 3)],
+                         ids=["2x2", "4x4", "3x1", "2x3"])
+def test_conv_rejects_even_or_non_square_kernel(kernel):
+    with pytest.raises(ShapeError, match="odd square kernel"):
+        ops.conv2d_forward(np.zeros((1, 3, 8, 8)), np.zeros((2, 3) + kernel), np.zeros(2))
+
+
+def _conv_reference(x, w, b, gy):
+    """Direct loops over output pixels: (out, gx, gw, gb) of the stride-1
+    'same' cross-correlation, in float64."""
     n, c_in, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    xp = np.zeros((n, c_in, h + 2 * padding, wd + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + wd] = x
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, c_out, h_out, w_out))
+    c_out, _, k, _ = w.shape
+    pad = k // 2
+    xp = np.zeros((n, c_in, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    out = np.zeros((n, c_out, h, wd))
     gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    for r in range(h_out):
-        for c in range(w_out):
-            rows = slice(r * stride, r * stride + kh)
-            cols = slice(c * stride, c * stride + kw)
-            patch = xp[:, :, rows, cols]
+    gw = np.zeros(w.shape)
+    for r in range(h):
+        for c in range(wd):
+            patch = xp[:, :, r : r + k, c : c + k]
             out[:, :, r, c] = np.einsum("nckl,ockl->no", patch, w)
-            gxp[:, :, rows, cols] += np.einsum("no,ockl->nckl", gy[:, :, r, c], w)
+            gxp[:, :, r : r + k, c : c + k] += np.einsum("no,ockl->nckl", gy[:, :, r, c], w)
             gw += np.einsum("no,nckl->ockl", gy[:, :, r, c], patch)
-    gb = None
-    if b is not None:
-        out += b[None, :, None, None]
-        gb = gy.sum(axis=(0, 2, 3))
-    gx = gxp[:, :, padding : padding + h, padding : padding + wd]
-    return out, gx, gw, gb
+    out += b[None, :, None, None]
+    gx = gxp[:, :, pad : pad + h, pad : pad + wd]
+    return out, gx, gw, gy.sum(axis=(0, 2, 3))
 
 
-@pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (2, 3)])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_conv_matches_loop_reference(stride, padding, kernel):
-    rng = np.random.default_rng(100 * stride + 10 * padding + kernel[0] + kernel[1])
-    x = rng.normal(size=(2, 3, 7, 9))
-    w = rng.normal(size=(4, 3) + kernel)
-    b = rng.normal(size=4) if (stride + padding) % 2 else None
-    out, cache = ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
-    gy = rng.normal(size=out.shape)
-    want_out, want_gx, want_gw, want_gb = _conv_reference(x, w, b, stride, padding, gy)
-    gx, gw, gb = ops.conv2d_backward(cache, gy)
-    npt.assert_allclose(out, want_out, rtol=0, atol=1e-9)
-    npt.assert_allclose(gx, want_gx, rtol=0, atol=1e-9)
-    npt.assert_allclose(gw, want_gw, rtol=0, atol=1e-9)
-    if b is None:
-        assert gb is None
-    else:
-        npt.assert_allclose(gb, want_gb, rtol=0, atol=1e-9)
+def _check_conv(x, w, b, atol):
+    """The op's forward and backward against _conv_reference, in x's dtype;
+    returns the op's (out, gx, gw, gb) and the gy it ran backward on."""
+    out, cache = ops.conv2d_forward(x, w, b)
+    gy = np.random.default_rng(x.size).normal(size=out.shape).astype(x.dtype)
+    got = (out,) + ops.conv2d_backward(cache, gy)
+    for g, ref in zip(got, _conv_reference(x, w, b, gy)):
+        assert g.dtype == x.dtype
+        npt.assert_allclose(g, ref, rtol=0, atol=atol)
+    return got, gy
+
+
+CONV_DTYPES = [pytest.param(np.float32, 1e-3, id="float32"),
+               pytest.param(np.float64, 1e-9, id="float64")]
+
+
+# (input shape, C_out, k): the U-Net's 1x1 convs, also from one input
+# channel and to one output channel (the K == 1 products), its 3x3 convs,
+# and a 5x5.
+@pytest.mark.parametrize("dtype,atol", CONV_DTYPES)
+@pytest.mark.parametrize("x_shape,c_out,k", [
+    pytest.param((2, 3, 7, 9), 4, 1, id="1x1"),
+    pytest.param((2, 1, 7, 9), 4, 1, id="1x1-one-input-channel"),
+    pytest.param((2, 3, 7, 9), 1, 1, id="1x1-one-output-channel"),
+    pytest.param((2, 3, 7, 9), 4, 3, id="3x3"),
+    pytest.param((2, 3, 7, 9), 4, 5, id="5x5"),
+])
+def test_conv_matches_loop_reference(x_shape, c_out, k, dtype, atol):
+    rng = np.random.default_rng(sum(x_shape) + 10 * c_out + k)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=(c_out, x_shape[1], k, k)).astype(dtype)
+    b = rng.normal(size=c_out).astype(dtype)
+    _check_conv(x, w, b, atol)
 
 
 def test_conv_float32_stays_float32():
@@ -117,52 +127,45 @@ def test_conv_float32_stays_float32():
     x = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
     b = np.zeros(4, dtype=np.float32)
     # the raster path, and the 1x1 path with its single-channel special case
-    for c_out, k, stride, padding in ((4, 3, 2, 1), (4, 1, 1, 0), (1, 1, 1, 0)):
+    for c_out, k in ((4, 3), (4, 1), (1, 1)):
         w = rng.normal(size=(c_out, 3, k, k)).astype(np.float32)
-        out, cache = ops.conv2d_forward(x, w, b[:c_out], stride=stride, padding=padding)
+        out, cache = ops.conv2d_forward(x, w, b[:c_out])
         assert out.dtype == np.float32
         for g in ops.conv2d_backward(cache, np.ones_like(out)):
             assert g.dtype == np.float32
 
 
-# (input shape, kernel, stride, padding, images per tile): batches whose
-# last tile is partial, and images whose padded raster exceeds the tile.
+# (input shape, k, images per tile): batches whose last tile is partial,
+# and images whose padded raster exceeds the tile.
 TILED_CONVS = [
-    ((5, 3, 32, 32), (3, 3), 1, 1, 3),
-    ((5, 3, 32, 32), (2, 3), 2, 0, 4),
-    ((5, 3, 32, 32), (3, 3), 3, 2, 3),
-    ((2, 3, 70, 70), (3, 3), 1, 0, 1),
-    ((2, 3, 70, 70), (3, 2), 2, 2, 1),
+    pytest.param((5, 3, 32, 32), 3, 3, id="partial-last-tile-3x3"),
+    pytest.param((5, 3, 32, 32), 5, 3, id="partial-last-tile-5x5"),
+    pytest.param((2, 3, 70, 70), 3, 1, id="wider-than-a-tile-3x3"),
+    pytest.param((2, 3, 70, 70), 5, 1, id="wider-than-a-tile-5x5"),
 ]
 
 
-@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-3), (np.float64, 1e-9)])
-@pytest.mark.parametrize("x_shape,kernel,stride,padding,per_tile", TILED_CONVS)
+@pytest.mark.parametrize("dtype,atol", CONV_DTYPES)
+@pytest.mark.parametrize("x_shape,k,per_tile", TILED_CONVS)
 def test_tiled_conv_matches_loop_reference_and_one_tile(
-        x_shape, kernel, stride, padding, per_tile, dtype, atol, monkeypatch):
-    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+        x_shape, k, per_tile, dtype, atol, monkeypatch):
+    hp, wp = x_shape[2] + k - 1, x_shape[3] + k - 1
     assert max(1, ops._TILE_COLUMNS // (hp * wp)) == per_tile
-    rng = np.random.default_rng(sum(x_shape) + 7 * stride + padding)
+    rng = np.random.default_rng(sum(x_shape) + 7 * k)
     x = rng.normal(size=x_shape).astype(dtype)
-    w = rng.normal(size=(4, x_shape[1]) + kernel).astype(dtype)
+    w = rng.normal(size=(4, x_shape[1], k, k)).astype(dtype)
     b = rng.normal(size=4).astype(dtype)
-    out, cache = ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
-    gy = rng.normal(size=out.shape).astype(dtype)
-    grads = ops.conv2d_backward(cache, gy)
-    want = _conv_reference(x, w, b, stride, padding, gy)
-    for got, ref in zip((out,) + grads, want):
-        assert got.dtype == dtype
-        npt.assert_allclose(got, ref, rtol=0, atol=atol)
+    tiled, gy = _check_conv(x, w, b, atol)
     # one tile over the whole batch gives the same bits
     monkeypatch.setattr(ops, "_TILE_COLUMNS", x_shape[0] * hp * wp)
-    whole, whole_cache = ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
-    for got, ref in zip((out,) + grads, (whole,) + ops.conv2d_backward(whole_cache, gy)):
+    whole, whole_cache = ops.conv2d_forward(x, w, b)
+    for got, ref in zip(tiled, (whole,) + ops.conv2d_backward(whole_cache, gy)):
         assert got.tobytes() == ref.tobytes()
 
 
 def _dec0_conv1():
-    """dec0's first 3x3 conv at the desk shapes, (8, 16, 64, 64) -> 8 with
-    padding 1, and its raster's column count N*Hp*Wp + (kH-1)*Wp + kW-1."""
+    """dec0's first 3x3 conv at the desk shapes, (8, 16, 64, 64) -> 8, and
+    its raster's column count N*Hp*Wp + (kH-1)*Wp + kW-1."""
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 16, 64, 64)).astype(np.float32)
     w = rng.normal(size=(8, 16, 3, 3)).astype(np.float32)
@@ -175,7 +178,7 @@ def test_conv_forward_peaks_near_its_raster_and_output(traced_peak):
     # when the whole layer's shifted rows and GEMM outputs were built.
     x, w, b, columns = _dec0_conv1()
     floor = 4 * (16 * columns + 8 * 64 * 64 * 8)
-    peak = traced_peak(lambda: ops.conv2d_forward(x, w, b, padding=1))
+    peak = traced_peak(lambda: ops.conv2d_forward(x, w, b))
     assert peak < 1.5 * floor, f"{peak / floor:.2f}x"
 
 
@@ -183,7 +186,7 @@ def test_conv_backward_peaks_near_its_gradient_rasters(traced_peak):
     # Over gpad + g_t + gx: 1.23x (5.09 MiB) with tiles, 2.32x (9.60 MiB)
     # when gx went through whole-layer rows and outputs and a copy.
     x, w, b, columns = _dec0_conv1()
-    out, cache = ops.conv2d_forward(x, w, b, padding=1)
+    out, cache = ops.conv2d_forward(x, w, b)
     gy = np.random.default_rng(12).normal(size=out.shape).astype(np.float32)
     floor = 4 * (8 * columns + 8 * 66 * 66 * 8) + x.nbytes
     peak = traced_peak(lambda: ops.conv2d_backward(cache, gy))
@@ -196,9 +199,10 @@ def test_conv_tile_buffers_hold_at_most_the_batch(traced_peak):
     rng = np.random.default_rng(13)
     x = rng.normal(size=(1, 32, 8, 8)).astype(np.float32)
     w = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
-    out, (xf, *_) = ops.conv2d_forward(x, w, padding=1)
+    b = rng.normal(size=32).astype(np.float32)
+    out, (xf, *_) = ops.conv2d_forward(x, w, b)
     floor = xf.nbytes + out.nbytes
-    peak = traced_peak(lambda: ops.conv2d_forward(x, w, padding=1))
+    peak = traced_peak(lambda: ops.conv2d_forward(x, w, b))
     assert peak < 10 * floor, f"{peak / floor:.2f}x"
 
 

@@ -175,7 +175,6 @@ def test_even_kernel_same_reflect_keeps_shape():
 def test_rescaled_output_in_unit_interval():
     config = small_config(rescale=True)
     stack = quanvolve(np.random.default_rng(2).uniform(size=(8, 8)), config)
-    assert stack.rescaled
     assert stack.data.min() >= 0.0 and stack.data.max() <= 1.0
 
 
