@@ -1,38 +1,40 @@
-"""Model checkpoints: a plain-text manifest next to concatenated QVT1
+"""Model checkpoints: a short text manifest next to concatenated QVT1
 records.
 
-`<prefix>.manifest` holds the architecture header, optional
-quanvolution settings, one line per tensor:
+`<prefix>.tensors` holds one QVT1 record per parameter_shapes entry of
+the model's config, in that order, so the records need no names or
+offsets and their dtype is the model's.  `<prefix>.manifest` holds only
+what no other file does:
 
-    param <name> <dims-comma-separated> <byte-offset>
-    stat  <name> <dims> <byte-offset>
-
-and, last, the size and zlib.crc32 of the tensors file it describes:
-
+    quanvseg-checkpoint 2
+    in_channels 1
+    widths 8,16,32
+    upsample transposed
     tensors.bytes <n>
     tensors.crc32 <8 hex digits>
 
-Offsets point into `<prefix>.tensors`.  The files are replaced one at a
-time, so a save cut short can leave a new `.tensors` under an old
-manifest; the size and checksum catch that pair on load.  When the model
-was trained on quanvoluted input, the frozen circuit is written to
-`<prefix>.circuit`, referenced from the manifest with the zlib.crc32 of
-its text (`circuit.crc32`), so evaluation and prediction can rebuild the
-exact preprocessing; load_checkpoint returns it as a QuanvConfig.
+The last two are the size and zlib.crc32 of the `.tensors` file saved
+with it.  The files are replaced one at a time, so a save cut short can
+leave a new `.tensors` under an old manifest; the size and checksum
+catch that pair on load.  A model trained on quanvolved input also has
+the four `quanv.*` window settings and `circuit.crc32`, the checksum of
+the frozen circuit written to `<prefix>.circuit`, so evaluation and
+prediction can rebuild the exact preprocessing; load_checkpoint returns
+it as a QuanvConfig.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import zlib
 
 import numpy as np
 
-from .exceptions import ConfigError, FileFormatError
+from .exceptions import ConfigError, FileFormatError, TruncatedFileError
 from .fileio import (
     located,
     read_text,
+    record_size,
     tensor_from_bytes,
     tensor_to_bytes,
     write_atomic,
@@ -41,8 +43,10 @@ from .qsim.circuits import parse_circuit, serialize_circuit
 from .quanvolution import QuanvConfig
 from .unet import AttentionUNet, AttentionUNetConfig, parameter_shapes
 
-MANIFEST_MAGIC = "quanvseg-checkpoint 1"
-_QUANV_KEYS = ("quanv.kernel", "quanv.stride", "quanv.padding", "quanv.rescale")
+MANIFEST_MAGIC = "quanvseg-checkpoint 2"
+_QUANV_KEYS = ("quanv.kernel", "quanv.stride", "quanv.padding", "quanv.rescale",
+               "circuit.crc32")
+_KEYS = ("in_channels", "widths", "upsample", *_QUANV_KEYS, "tensors.bytes", "tensors.crc32")
 
 
 def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None):
@@ -58,11 +62,8 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None):
     lines = [
         MANIFEST_MAGIC,
         f"in_channels {cfg.in_channels}",
-        f"depth {cfg.depth}",
         "widths " + ",".join(str(w) for w in cfg.widths),
-        "gate_widths " + ",".join(str(w) for w in cfg.gate_widths),
         f"upsample {cfg.upsample}",
-        f"dtype {model.dtype.name}",
     ]
     circuit_text = None
     if quanv_config is not None:
@@ -71,17 +72,13 @@ def save_checkpoint(prefix, model: AttentionUNet, quanv_config=None):
         lines.append(f"quanv.stride {quanv_config.stride}")
         lines.append(f"quanv.padding {quanv_config.padding}")
         lines.append(f"quanv.rescale {int(quanv_config.rescale)}")
-        lines.append(f"circuit {os.path.basename(prefix)}.circuit")
         lines.append(f"circuit.crc32 {zlib.crc32(circuit_text.encode('ascii')):08x}")
-    blob = bytearray()
-    for kind, table in (("param", model.params), ("stat", model.stats)):
-        for name, arr in table.items():
-            dims = ",".join(str(d) for d in arr.shape)
-            lines.append(f"{kind} {name} {dims} {len(blob)}")
-            blob += tensor_to_bytes(np.asarray(arr))
+    tables = {"param": model.params, "stat": model.stats}
+    blob = b"".join(tensor_to_bytes(np.asarray(tables[kind][name], dtype=model.dtype))
+                    for kind, name, _ in parameter_shapes(cfg))
     lines.append(f"tensors.bytes {len(blob)}")
     lines.append(f"tensors.crc32 {zlib.crc32(blob):08x}")
-    write_atomic(prefix + ".tensors", bytes(blob))
+    write_atomic(prefix + ".tensors", blob)
     if circuit_text is not None:
         write_atomic(prefix + ".circuit", circuit_text.encode("ascii"))
     write_atomic(prefix + ".manifest", ("\n".join(lines) + "\n").encode("ascii"))
@@ -97,144 +94,116 @@ def _int(text: str, where: str) -> int:
 def load_checkpoint(prefix):
     """Returns (model, quanv_config).
 
-    quanv_config is None for plain checkpoints; for quanvoluted ones it
+    quanv_config is None for plain checkpoints; for quanvolved ones it
     is the QuanvConfig of the preprocessing, circuit included.
     """
     prefix = str(prefix)
     manifest = prefix + ".manifest"
     lines = read_text(manifest).split("\n")
-    if not lines or lines[0] != MANIFEST_MAGIC:
-        raise FileFormatError(f"not a checkpoint manifest: {manifest}")
+    if lines[0] != MANIFEST_MAGIC:
+        raise FileFormatError(f"not a {MANIFEST_MAGIC!r} manifest: {manifest}")
     header: dict[str, tuple[str, str]] = {}  # key -> (value, "<file> line <n>")
-    tensor_lines = []
-    tensor_names: set[str] = set()
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         where = f"{manifest} line {lineno}"
         fields = ln.split()
-        if fields[0] in ("param", "stat"):
-            if len(fields) != 4:
-                raise FileFormatError(f"{where}: bad tensor line {ln!r}")
-            kind, name, dims, offset_text = fields
-            shape = tuple(_int(v, where) for v in dims.split(","))
-            offset = _int(offset_text, where)
-            if offset < 0:
-                raise FileFormatError(f"{where}: negative tensor offset {offset}")
-            if name in tensor_names:
-                raise FileFormatError(f"{where}: repeated tensor {name!r}")
-            tensor_names.add(name)
-            tensor_lines.append((kind, name, shape, offset))
-        elif len(fields) == 2:
-            if fields[0] in header:
-                raise FileFormatError(f"{where}: repeated header {fields[0]!r}")
-            header[fields[0]] = (fields[1], where)
-        else:
+        if len(fields) != 2:
             raise FileFormatError(f"{where}: bad manifest line {ln!r}")
+        if fields[0] not in _KEYS:
+            raise FileFormatError(f"{where}: unknown header {fields[0]!r}")
+        if fields[0] in header:
+            raise FileFormatError(f"{where}: repeated header {fields[0]!r}")
+        header[fields[0]] = (fields[1], where)
+
+    def header_text(key):
+        if key not in header:
+            raise FileFormatError(f"{manifest}: missing header {key!r}")
+        return header[key]
 
     def header_int(key):
-        text, where = header[key]
-        return _int(text, where)
+        return _int(*header_text(key))
 
-    def header_ints(key):
-        text, where = header[key]
-        return tuple(_int(v, where) for v in text.split(","))
+    def header_crc(key):
+        text, where = header_text(key)
+        if not re.fullmatch(r"[0-9a-f]{8}", text):
+            raise FileFormatError(f"{where}: expected 8 hex digits, got {text!r}")
+        return int(text, 16)
 
+    widths_text, widths_where = header_text("widths")
     try:
         config = AttentionUNetConfig(
             in_channels=header_int("in_channels"),
-            widths=header_ints("widths"),
-            upsample=header["upsample"][0],
+            widths=tuple(_int(v, widths_where) for v in widths_text.split(",")),
+            upsample=header_text("upsample")[0],
         )
-        # Both follow from widths; the manifest keeps them for its readers.
-        for key, derived in (("depth", (config.depth,)), ("gate_widths", config.gate_widths)):
-            if header_ints(key) != derived:
-                text, where = header[key]
-                raise FileFormatError(
-                    f"{where}: {key} {text} does not match widths {config.widths}, "
-                    f"which give {','.join(str(v) for v in derived)}")
-    except KeyError as exc:
-        raise FileFormatError(f"{manifest}: missing header {exc}") from None
     except ConfigError as exc:
         raise FileFormatError(f"{manifest}: {exc}") from None
-    dtype_text = header.get("dtype", ("float32",))[0]
-    try:
-        dtype = np.dtype(dtype_text)
-    except TypeError:
-        raise FileFormatError(f"{manifest}: unknown dtype {dtype_text!r}") from None
-
-    for key in ("tensors.bytes", "tensors.crc32"):
-        if key not in header:
-            raise FileFormatError(f"{manifest}: missing header {key!r}")
     n_bytes = header_int("tensors.bytes")
-    crc_text, where = header["tensors.crc32"]
-    if not re.fullmatch(r"[0-9a-f]{8}", crc_text):
-        raise FileFormatError(f"{where}: expected 8 hex digits, got {crc_text!r}")
+    crc = header_crc("tensors.crc32")
 
-    with open(prefix + ".tensors", "rb") as fh:
+    path = prefix + ".tensors"
+    with open(path, "rb") as fh:
         blob = fh.read()
-    crc = zlib.crc32(blob)
+    blob_crc = zlib.crc32(blob)
     mismatch = FileFormatError(
-        f"{prefix}.tensors: holds {len(blob)} bytes with crc32 {crc:08x}, but "
-        f"the manifest says {n_bytes} bytes with crc32 {crc_text}; the two "
+        f"{path}: holds {len(blob)} bytes with crc32 {blob_crc:08x}, but "
+        f"the manifest says {n_bytes} bytes with crc32 {crc:08x}; the two "
         "files are not from the same save"
     )
     # A file of the wrong size is reported before its records are read; a
-    # corrupt record header is reported at its offset before the checksum.
+    # record that does not fit the manifest's architecture is reported at
+    # its offset before the checksum.
     if len(blob) != n_bytes:
         raise mismatch
-    loaded: dict[str, tuple[str, np.ndarray]] = {}
+    tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "stat": {}}
     records = memoryview(blob)
-    with located(prefix + ".tensors"):
-        for kind, name, shape, offset in tensor_lines:
-            # The parser checks the magic first and ignores bytes past the record.
+    offset = 0
+    dtype = None
+    with located(path):
+        for kind, name, shape in parameter_shapes(config):
+            if offset == len(blob):
+                raise TruncatedFileError(f"no record for {kind} {name}", offset=offset)
+            # The parser ignores bytes past the record.
             arr = tensor_from_bytes(records[offset:], offset)
             if arr.shape != shape:
                 raise FileFormatError(
-                    f"tensor {name}: manifest says {shape}, file holds {arr.shape}",
-                    offset=offset,
-                )
-            loaded[name] = (kind, arr.astype(dtype, copy=False))
-    if crc != int(crc_text, 16):
+                    f"{kind} {name}: the manifest's architecture gives shape "
+                    f"{shape}, the record holds {arr.shape}", offset=offset)
+            if dtype is None:  # QVT1 holds float32 or float64; the first record sets it
+                dtype = arr.dtype
+            tables[kind][name] = arr.astype(dtype, copy=False)
+            offset += record_size(arr)
+        if offset != len(blob):
+            raise FileFormatError(f"{len(blob) - offset} bytes after the last record",
+                                  offset=offset)
+    if blob_crc != crc:
         raise mismatch
 
-    params: dict[str, np.ndarray] = {}
-    stats: dict[str, np.ndarray] = {}
-    for kind, name, shape in parameter_shapes(config):
-        if name not in loaded:
-            raise FileFormatError(f"{manifest}: missing tensor {name}")
-        stored_kind, arr = loaded.pop(name)
-        if stored_kind != kind or arr.shape != shape:
-            raise FileFormatError(
-                f"{manifest}: tensor {name}: expected {kind} {shape}, "
-                f"found {stored_kind} {arr.shape}"
-            )
-        (params if kind == "param" else stats)[name] = arr
-    if loaded:
-        raise FileFormatError(f"{manifest}: surplus tensors {sorted(loaded)}")
-
     quanv_config = None
-    if "circuit" in header:
-        for key in _QUANV_KEYS + ("circuit.crc32",):
-            if key not in header:
-                raise FileFormatError(f"{manifest}: missing header {key!r}")
-        circuit_path = os.path.join(os.path.dirname(prefix) or ".", header["circuit"][0])
+    if any(key in header for key in _QUANV_KEYS):
+        circuit_crc = header_crc("circuit.crc32")
+        circuit_path = prefix + ".circuit"
         text = read_text(circuit_path)
-        if f"{zlib.crc32(text.encode('ascii')):08x}" != header["circuit.crc32"][0]:
+        if zlib.crc32(text.encode("ascii")) != circuit_crc:
             raise FileFormatError(f"{circuit_path}: does not match circuit.crc32 in "
                                   f"{manifest}; it changed after the save")
         with located(circuit_path):
             spec = parse_circuit(text)
+        rescale = header_int("quanv.rescale")
+        if rescale not in (0, 1):
+            raise FileFormatError(
+                f"{header['quanv.rescale'][1]}: quanv.rescale must be 0 or 1, got {rescale}")
         try:
             quanv_config = QuanvConfig(
                 circuit=spec,
                 kernel_size=header_int("quanv.kernel"),
                 stride=header_int("quanv.stride"),
-                padding=header["quanv.padding"][0],
-                rescale=bool(header_int("quanv.rescale")),
+                padding=header_text("quanv.padding")[0],
+                rescale=bool(rescale),
             )
         except ConfigError as exc:
             # The settings come from the checkpoint file, not from the user.
             raise FileFormatError(f"{manifest}: quanvolution settings: {exc}") from None
-    model = AttentionUNet(config, params, stats, dtype=dtype)
+    model = AttentionUNet(config, tables["param"], tables["stat"], dtype=dtype)
     return model, quanv_config

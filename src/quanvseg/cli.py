@@ -19,6 +19,7 @@ import numpy as np
 from .backend import MAX_KERNEL_SIZE
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datapipe import (
+    DB_WINDOW,
     PatchItem,
     PatchSet,
     extract_patches,
@@ -112,31 +113,33 @@ def _bounded(convert, bound):
 
 
 # Every config key: (default, parser).  A parser turns the key's value
-# text into its typed value, or raises a ConfigError naming the key.
+# text into its typed value, or raises a ConfigError naming the key.  A
+# default the library declares (QuanvConfig, AttentionUNetConfig,
+# TrainConfig, DB_WINDOW) is read from that declaration.
 CONFIG_KEYS = {
     "circuit.template": ("basic_entangled", _as_choice(TEMPLATES)),
     "circuit.qubits": (9, _bounded(_as_int, (lambda v: 1 <= v <= MAX_SIM_QUBITS,
                                              f"in [1, {MAX_SIM_QUBITS}]"))),
     "circuit.layers": (2, _bounded(_as_int, _AT_LEAST_1)),
     "circuit.seed": (42, _bounded(_as_int, _SEED)),
-    "quanv.kernel": (3, _bounded(_as_int, (lambda v: 1 <= v <= MAX_KERNEL_SIZE,
-                                           f"in [1, {MAX_KERNEL_SIZE}]"))),
-    "quanv.stride": (1, _bounded(_as_int, _AT_LEAST_1)),
-    "quanv.padding": ("same-reflect", _as_choice(PADDINGS)),
-    "quanv.rescale": (True, _as_bool),
-    "model.widths": ((8, 16, 32), _bounded(_as_widths, (
+    "quanv.kernel": (QuanvConfig.kernel_size, _bounded(_as_int, (
+        lambda v: 1 <= v <= MAX_KERNEL_SIZE, f"in [1, {MAX_KERNEL_SIZE}]"))),
+    "quanv.stride": (QuanvConfig.stride, _bounded(_as_int, _AT_LEAST_1)),
+    "quanv.padding": (QuanvConfig.padding, _as_choice(PADDINGS)),
+    "quanv.rescale": (QuanvConfig.rescale, _as_bool),
+    "model.widths": (AttentionUNetConfig.widths, _bounded(_as_widths, (
         lambda v: len(v) >= 2 and min(v) >= 1, "at least 2 entries, all >= 1"))),
-    "model.in_channels": (1, _bounded(_as_int, _AT_LEAST_1)),
-    "train.lr": (1e-3, _bounded(_as_float, (lambda v: 0.0 < v < math.inf,
-                                            "a finite number > 0"))),
-    "train.epochs": (30, _bounded(_as_int, _AT_LEAST_1)),
-    "train.batch": (8, _bounded(_as_int, _AT_LEAST_1)),
+    "model.in_channels": (AttentionUNetConfig.in_channels, _bounded(_as_int, _AT_LEAST_1)),
+    "train.lr": (TrainConfig.lr, _bounded(_as_float, (
+        lambda v: 0.0 < v < math.inf, "a finite number > 0"))),
+    "train.epochs": (TrainConfig.epochs, _bounded(_as_int, _AT_LEAST_1)),
+    "train.batch": (TrainConfig.batch_size, _bounded(_as_int, _AT_LEAST_1)),
     "train.seed": (0, _bounded(_as_int, _SEED)),
     "data.patch": (256, _bounded(_as_int, _AT_LEAST_1)),
     "data.stride": (128, _bounded(_as_int, _AT_LEAST_1)),
     "data.test_fraction": (0.2, _bounded(_as_float, (lambda v: 0.0 < v < 1.0, "in (0, 1)"))),
-    "norm.lo_db": (-25.0, _bounded(_as_float, _FINITE)),
-    "norm.hi_db": (5.0, _bounded(_as_float, _FINITE)),
+    "norm.lo_db": (DB_WINDOW[0], _bounded(_as_float, _FINITE)),
+    "norm.hi_db": (DB_WINDOW[1], _bounded(_as_float, _FINITE)),
 }
 
 

@@ -164,7 +164,12 @@ def load_patch_dir(path) -> tuple[PatchSet, PatchSet]:
     return PatchSet(items=tuple(buckets["train"])), PatchSet(items=tuple(buckets["test"]))
 
 
-def normalize_db(values: np.ndarray, lo_db: float = -25.0, hi_db: float = 5.0) -> np.ndarray:
+# normalize_db's default window in dB, and the norm.lo_db/norm.hi_db defaults.
+DB_WINDOW = (-25.0, 5.0)
+
+
+def normalize_db(values: np.ndarray, lo_db: float = DB_WINDOW[0],
+                 hi_db: float = DB_WINDOW[1]) -> np.ndarray:
     """Clip a dB raster to [lo_db, hi_db] and map affinely onto [0, 1]."""
     if not lo_db < hi_db:
         raise ConfigError(f"need lo_db < hi_db, got {lo_db}, {hi_db}")

@@ -18,13 +18,13 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
+    lr: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_adam(params: dict, lr: float = 1e-3) -> AdamState:
+def init_adam(params: dict, lr: float) -> AdamState:
     return AdamState(
         lr=lr,
         m={k: np.zeros_like(p) for k, p in params.items()},

@@ -10,7 +10,8 @@ optimizer and checkpoint code trivial; the layer sequence is written only
 in forward.  Inference (train=False) records nothing, so each cache is
 freed as soon as its op returns.
 parameter_shapes is the single description of the topology: build_model,
-count_params, init_gate_params and the checkpoint loader all walk it.
+count_params and init_gate_params walk it, and a checkpoint stores one
+record per entry, in its order, and nothing else about the topology.
 
 The attention gate rescales each skip connection: the upsampled decoder
 features g and the skip features x_i are both projected by 1x1 convs to
@@ -329,7 +330,8 @@ def parameter_shapes(config: AttentionUNetConfig):
     """Yield ("param"|"stat", name, shape) for every tensor, in build order.
 
     The one description of the topology: build_model allocates from it,
-    count_params sums it, and load_checkpoint checks a manifest against it.
+    count_params sums it, and save_checkpoint and load_checkpoint write and
+    read the records in its order.
     """
     def dconv(prefix, c_in, c_out):
         yield from _conv_shapes(f"{prefix}.conv1", c_in, c_out, 3)

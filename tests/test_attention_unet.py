@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -305,7 +306,7 @@ def pinned_training_run(kind):
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(8, 1, 64, 64)).astype(np.float32)
     y = (rng.uniform(size=(8, 1, 64, 64)) < 0.3).astype(np.float32)
-    state = init_adam(model.params)
+    state = init_adam(model.params, lr=1e-3)
     for _ in range(12):
         out, caches = model.forward(x, train=True)
         _, g = bce_loss(out, y)
@@ -812,21 +813,52 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     save_checkpoint(prefix, model)
     manifest = (prefix.parent / "ckpt.manifest").read_text()
     (prefix.parent / "ckpt.manifest").write_text(
-        manifest.replace("quanvseg-checkpoint 1", "something-else 9", 1)
+        manifest.replace("quanvseg-checkpoint 2", "something-else 9", 1)
     )
     with pytest.raises(FileFormatError):
         load_checkpoint(prefix)
 
 
 def test_checkpoint_rejects_missing_tensor(tmp_path):
+    # head.b's record, the last, is cut off, and the manifest's size and
+    # checksum are updated to match.
     model = build_model(AttentionUNetConfig(widths=(4, 8)))
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, model)
-    lines = (prefix.parent / "ckpt.manifest").read_text().splitlines()
-    kept = [ln for ln in lines if not ln.startswith("param head.b ")]
-    (prefix.parent / "ckpt.manifest").write_text("\n".join(kept) + "\n")
-    with pytest.raises(FileFormatError, match="head.b"):
+    data = (tmp_path / "ckpt.tensors").read_bytes()
+    data = data[:data.rindex(b"QVT1")]
+    (tmp_path / "ckpt.tensors").write_bytes(data)
+    manifest = (tmp_path / "ckpt.manifest").read_text().splitlines()
+    manifest[-2:] = [f"tensors.bytes {len(data)}", f"tensors.crc32 {zlib.crc32(data):08x}"]
+    (tmp_path / "ckpt.manifest").write_text("\n".join(manifest) + "\n")
+    with pytest.raises(FileFormatError, match=f"offset {len(data)}.*head.b"):
         load_checkpoint(prefix)
+
+
+def test_checkpoint_round_trips_float64(tmp_path):
+    model = build_model(AttentionUNetConfig(widths=(4, 8)), seed=3, dtype=np.float64)
+    save_checkpoint(tmp_path / "ckpt", model)
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    assert loaded.dtype == np.float64
+    for table, saved in ((loaded.params, model.params), (loaded.stats, model.stats)):
+        assert table.keys() == saved.keys()
+        for k in saved:
+            assert table[k].dtype == np.float64
+            npt.assert_array_equal(table[k], saved[k])
+
+
+def test_manifest_holds_only_what_no_other_file_does(tmp_path):
+    save_checkpoint(tmp_path / "plain", build_model(AttentionUNetConfig()))
+    keys = [ln.split()[0] for ln in (tmp_path / "plain.manifest").read_text().splitlines()]
+    assert keys == ["quanvseg-checkpoint", "in_channels", "widths", "upsample",
+                    "tensors.bytes", "tensors.crc32"]
+    qcfg = QuanvConfig(circuit=build_circuit("basic_entangled", 9, 2, seed=42))
+    save_checkpoint(tmp_path / "q", build_model(AttentionUNetConfig(in_channels=9)),
+                    quanv_config=qcfg)
+    keys = [ln.split()[0] for ln in (tmp_path / "q.manifest").read_text().splitlines()]
+    assert keys == ["quanvseg-checkpoint", "in_channels", "widths", "upsample",
+                    "quanv.kernel", "quanv.stride", "quanv.padding", "quanv.rescale",
+                    "circuit.crc32", "tensors.bytes", "tensors.crc32"]
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
@@ -856,12 +888,10 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
 
 def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
-    import quanvseg.checkpoint as checkpoint
-
     def failing(src, dst):
         raise OSError("replace refused")
 
-    monkeypatch.setattr(checkpoint.os, "replace", failing)
+    monkeypatch.setattr(os, "replace", failing)
     with pytest.raises(OSError, match="replace refused"):
         save_checkpoint(tmp_path / "ckpt", build_model(AttentionUNetConfig(widths=(4, 8))))
     assert list(tmp_path.iterdir()) == []

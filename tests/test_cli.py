@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -13,10 +14,10 @@ import pytest
 
 from quanvseg.checkpoint import save_checkpoint
 from quanvseg.cli import CONFIG_KEYS, build_parser, load_config, main
-from quanvseg.fileio import read_pgm, read_tensor, write_pgm, write_tensor
+from quanvseg.fileio import read_pgm, read_tensor, tensor_to_bytes, write_pgm, write_tensor
 from quanvseg.qsim.circuits import build_circuit, serialize_circuit
 from quanvseg.quanvolution import QuanvConfig
-from quanvseg.unet import AttentionUNetConfig, build_model, count_params
+from quanvseg.unet import AttentionUNetConfig, build_model, count_params, parameter_shapes
 
 FAST_MODEL = ["--set", "model.widths=4,8"]
 FAST_TRAIN = ["--set", "train.epochs=2", "--set", "train.batch=4"]
@@ -459,31 +460,26 @@ def test_patch_stack_mismatch_exits_1(workdir, tmp_path, capsys, defect):
 
 
 MANIFEST_DEFECTS = {
-    "offset": (r"^(param enc0\.conv1\.w \S+) 0$", r"\1 zero", "line 8"),
-    "negative-offset": (r"^(param enc0\.conv1\.b \S+) \d+$", r"\1 -30", "negative tensor offset -30"),
-    "dims": (r"^param enc0\.conv1\.w 4,1,3,3 ", "param enc0.conv1.w 4,one,3,3 ", "line 8"),
+    "format-1": (r"^quanvseg-checkpoint 2$", "quanvseg-checkpoint 1",
+                 "not a 'quanvseg-checkpoint 2' manifest"),
     "in_channels": (r"^in_channels 1$", "in_channels 1.5", "line 2"),
-    "depth": (r"^depth 2$", "depth two", "line 3"),
-    "depth-invalid": (r"^depth 2$", "depth 1",
-                      "line 3: depth 1 does not match widths (4, 8), which give 2"),
-    "widths": (r"^widths 4,8$", "widths 4,x", "line 4"),
-    "gate_widths": (r"^gate_widths 2$", "gate_widths 2,", "line 5"),
-    "dtype": (r"^dtype float32$", "dtype floaty", "floaty"),
-    "repeated-tensor": (r"^(param enc0\.conv1\.b .*)$", r"\1\n\1",
-                        "line 10: repeated tensor 'enc0.conv1.b'"),
-    "repeated-header": (r"^(depth 2)$", r"\1\n\1", "line 4: repeated header 'depth'"),
+    "widths": (r"^widths 4,8$", "widths 4,x", "line 3"),
+    "widths-invalid": (r"^widths 4,8$", "widths 4", "widths needs at least 2 entries"),
+    "upsample": (r"^upsample \S+$", "upsample bilinear", "upsample must be one of"),
+    # Format 1's derived headers: the dtype comes from the records, depth
+    # and gate widths from widths, so none of them may come back.
+    "dtype": (r"^(upsample \S+)$", r"\1\ndtype float16", "line 5: unknown header 'dtype'"),
+    "depth": (r"^(widths 4,8)$", r"\1\ndepth 2", "line 4: unknown header 'depth'"),
+    "gate_widths": (r"^(widths 4,8)$", r"\1\ngate_widths 2",
+                    "line 4: unknown header 'gate_widths'"),
+    "repeated-header": (r"^(in_channels 1)$", r"\1\n\1", "line 3: repeated header 'in_channels'"),
     "tensors-bytes": (r"^tensors\.bytes \d+$", "tensors.bytes many", "expected an integer"),
     "tensors-crc32": (r"^tensors\.crc32 [0-9a-f]{8}$", "tensors.crc32 1234567g",
                       "expected 8 hex digits"),
     "no-tensors-bytes": (r"^tensors\.bytes \d+\n", "", "missing header 'tensors.bytes'"),
     "no-tensors-crc32": (r"^tensors\.crc32 \w+\n", "", "missing header 'tensors.crc32'"),
-    "no-depth": (r"^depth 2\n", "", "missing header 'depth'"),
-    "no-param": (r"^param head\.b .*\n", "", "missing tensor head.b"),
-    "short-tensor-line": (r"^(param enc0\.conv1\.b \S+) \d+$", r"\1", "line 9: bad tensor line"),
-    "bad-line": (r"^(depth 2)$", r"\1 3", "line 3: bad manifest line"),
-    "surplus-tensor": (r"^param enc0\.conv1\.w (\S+) 0$",
-                       r"param enc0.conv1.w \1 0\nparam extra.w \1 0", "surplus tensors ['extra.w']"),
-    "wrong-kind": (r"^param head\.b ", "stat head.b ", "tensor head.b: expected param"),
+    "no-upsample": (r"^upsample \S+\n", "", "missing header 'upsample'"),
+    "bad-line": (r"^(in_channels 1)$", r"\1 3", "line 2: bad manifest line"),
 }
 
 
@@ -504,22 +500,72 @@ def test_malformed_manifest_exits_1(workdir, tmp_path, capsys, defect):
     assert f"{prefix}.manifest" in err
 
 
-def test_manifest_offset_inside_a_record_exits_1(workdir, tmp_path, capsys):
-    # At 8 bytes before the end of .tensors, byte offset+5 (a header's
-    # ndim) reads 3 and only 2 bytes follow it; the parser must reject the
-    # missing magic there, not read 3 extents past the end.
+def test_record_header_cut_short_exits_1(workdir, tmp_path, capsys):
+    # The last record's header says ndim 3 and only 2 bytes follow it; the
+    # parser must reject the short extent list there, not read past the end.
     prefix = str(tmp_path / "ckpt")
     save_checkpoint(prefix, build_model(AttentionUNetConfig(widths=(4, 8))))
     data = Path(prefix + ".tensors").read_bytes()
-    at = len(data) - 8
-    Path(prefix + ".tensors").write_bytes(data[:at] + bytes([0, 0, 0, 0, 0, 3, 0, 0]))
-    text = Path(prefix + ".manifest").read_text()
-    broken, count = re.subn(r"^(param head\.b \S+) \d+$", rf"\g<1> {at}", text,
-                            count=1, flags=re.M)
-    assert count == 1
-    Path(prefix + ".manifest").write_text(broken)
+    at = data.rindex(b"QVT1")
+    rewrite_tensors(prefix, data[:at] + b"QVT1" + bytes([1, 3, 0, 0]))
     code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
-    assert_located_error(capsys, code, 1, prefix + ".tensors", at)
+    assert_located_error(capsys, code, 1, prefix + ".tensors", at + 6)
+
+
+def rewrite_tensors(prefix, data):
+    """Replace .tensors and update the manifest's size and checksum to match."""
+    Path(prefix + ".tensors").write_bytes(data)
+    manifest = Path(prefix + ".manifest")
+    text = re.sub(r"^tensors\.bytes \d+$", f"tensors.bytes {len(data)}",
+                  manifest.read_text(), flags=re.M)
+    text = re.sub(r"^tensors\.crc32 \w+$", f"tensors.crc32 {zlib.crc32(data):08x}",
+                  text, flags=re.M)
+    manifest.write_text(text)
+
+
+def record_offsets(config):
+    """Offset of each tensor's float32 record in a saved model's .tensors."""
+    offsets, at = {}, 0
+    for _, name, shape in parameter_shapes(config):
+        offsets[name] = at
+        at += 6 + 4 * len(shape) + 4 * math.prod(shape)
+    return offsets, at
+
+
+# Edits that leave a widths (4, 8) checkpoint's size and checksum intact
+# but its records off parameter_shapes: (its widths line, bytes appended to
+# .tensors or None to cut head.b's record off, message, the record whose
+# offset the error names).
+RECORD_DEFECTS = {
+    "shape": ("widths 4,6", b"",
+              "param bottleneck.conv1.w: the manifest's architecture gives shape "
+              "(6, 4, 3, 3), the record holds (8, 4, 3, 3)", "bottleneck.conv1.w"),
+    "extra-record": ("widths 4,8", tensor_to_bytes(np.zeros(3, np.float32)),
+                     "22 bytes after the last record", "end"),
+    "missing-record": ("widths 4,8", None, "no record for param head.b", "head.b"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(RECORD_DEFECTS))
+def test_records_off_parameter_shapes_exit_1(workdir, tmp_path, capsys, defect):
+    """Records are read in parameter_shapes order; one that does not fit,
+    a missing one or bytes past the last are reported at their .tensors
+    offset."""
+    widths_line, tail, message, name = RECORD_DEFECTS[defect]
+    config = AttentionUNetConfig(widths=(4, 8))
+    offsets, end = record_offsets(config)
+    offsets["end"] = end
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, build_model(config))
+    data = Path(prefix + ".tensors").read_bytes()
+    assert len(data) == end
+    manifest = Path(prefix + ".manifest")
+    manifest.write_text(manifest.read_text().replace("widths 4,8", widths_line))
+    rewrite_tensors(prefix, data[:offsets["head.b"]] if tail is None else data + tail)
+    code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err == f"error: {prefix}.tensors: offset {offsets[name]}: {message}\n", err
 
 
 def quanv_checkpoint(prefix, seed=0):
@@ -530,17 +576,23 @@ def quanv_checkpoint(prefix, seed=0):
     save_checkpoint(prefix, model, quanv_config=qcfg)
 
 
-@pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 8"),
+@pytest.mark.parametrize("line, message", [("quanv.kernel two", "line 5"),
                                            ("quanv.kernel 0", "kernel_size must be >= 1"),
                                            ("quanv.kernel 4", "kernel_size must be in [1, 3]"),
-                                           ("", "missing header 'quanv.kernel'")])
+                                           ("", "missing header 'quanv.kernel'"),
+                                           ("quanv.rescale 7", "line 8: quanv.rescale must "
+                                                               "be 0 or 1, got 7")])
 def test_malformed_quanv_settings_exit_1(workdir, tmp_path, capsys, line, message):
+    """line replaces the manifest line of the same key, or quanv.kernel's."""
     prefix = str(tmp_path / "qckpt")
     quanv_checkpoint(prefix)
     text = Path(prefix + ".manifest").read_text()
-    assert "\nquanv.kernel 2\n" in text
+    assert "\nquanv.kernel 2\n" in text and "\nquanv.rescale 1\n" in text
+    key = line.split()[0] if line else "quanv.kernel"
+    broken, count = re.subn(rf"^{re.escape(key)} .*$", line, text, flags=re.M)
+    assert count == 1
     with open(prefix + ".manifest", "w") as fh:
-        fh.write(text.replace("\nquanv.kernel 2\n", f"\n{line}\n"))
+        fh.write(broken)
     code = main(["eval", "--patches", workdir["patches"], "--checkpoint", prefix])
     assert code == 1
     err = capsys.readouterr().err
@@ -703,8 +755,6 @@ def assert_not_one_set(capsys, code, prefix):
 
 
 def test_save_cut_after_tensors_replace_exits_1(workdir, tmp_path, capsys, monkeypatch):
-    import quanvseg.checkpoint as checkpoint
-
     prefix = str(tmp_path / "qckpt")
     quanv_checkpoint(prefix, seed=1)
     old_size = os.path.getsize(prefix + ".tensors")
@@ -717,7 +767,7 @@ def test_save_cut_after_tensors_replace_exits_1(workdir, tmp_path, capsys, monke
             raise OSError("power cut")
         replace(src, dst)
 
-    monkeypatch.setattr(checkpoint.os, "replace", cut_on_second_call)
+    monkeypatch.setattr(os, "replace", cut_on_second_call)
     with pytest.raises(OSError, match="power cut"):
         quanv_checkpoint(prefix, seed=2)
     monkeypatch.undo()
@@ -766,7 +816,6 @@ def test_train_quanvolve_round_trip(workdir, capsys):
     manifest = Path(prefix + ".manifest").read_text()
     assert "in_channels 4" in manifest
     assert "quanv.kernel 2" in manifest
-    assert "circuit qmodel.circuit" in manifest
     assert os.path.exists(prefix + ".circuit")
     # eval re-runs the preprocessing from the stored circuit
     assert main(["eval", "--patches", workdir["patches"],

@@ -556,7 +556,7 @@ def test_adam_skips_missing_grads():
 
 def test_adam_rejects_shape_mismatch():
     params = {"w": np.zeros(3)}
-    state = init_adam(params)
+    state = init_adam(params, lr=1e-3)
     with pytest.raises(ShapeError):
         adam_step(params, {"w": np.zeros(4)}, state)
 
